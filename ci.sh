@@ -101,6 +101,13 @@ cargo run -q --release -p ppdp-bench --bin ppdp-report -- \
 test -s audit_ci.dot || { echo "FAIL: no lineage DOT written"; exit 1; }
 rm -f audit_ci.jsonl audit_ci.dot
 
+# Chapter 3 link removal end to end: one Caltech-sized sweep (Table 3.9,
+# 769 users, 16 656 links) through the public `indistinguishable_links`
+# total − own scorer and the ICA attacks on each sanitized graph, in
+# release (tens of milliseconds).
+echo "==> Chapter 3 link-removal experiment (table3.9)"
+cargo run -q --release -p ppdp-bench --bin experiments -- table3.9 >/dev/null
+
 # Kernel-equivalence gate: the log-domain (LSE) BP kernel must agree with
 # the linear kernel to 1e-9 on golden fixtures, make identical greedy
 # sanitize picks, stay bitwise across exec policies and checkpoint/resume

@@ -6,10 +6,18 @@ use crate::dataset::LabeledGraph;
 use crate::ica::{ica_run, IcaConfig};
 use crate::knn::Knn;
 use crate::naive_bayes::NaiveBayes;
-use crate::relational::{relational_dist, RelationalState};
+use crate::relational::{relational_dist_from, RelationalState, RelationalWeights};
 use crate::{argmax, LocalClassifier};
 use ppdp_errors::Result;
+use ppdp_exec::ExecPolicy;
+use ppdp_graph::UserId;
 use ppdp_roughset::{find_reduct, AttrId, InformationSystem, RuleClassifier};
+use std::collections::HashMap;
+
+/// Below this many distinct rows the local predictions are too cheap to be
+/// worth spawning worker threads for. Scheduling-only: the predictions are
+/// identical either way.
+const PAR_MIN_ROWS: usize = 16;
 
 /// Which attribute-based (local) classifier to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,7 +162,7 @@ pub fn run_attack(
     kind: LocalKind,
     model: AttackModel,
 ) -> Result<AttackOutcome> {
-    run_attack_with(lg, kind, model, ppdp_exec::ExecPolicy::Sequential)
+    run_attack_with(lg, kind, model, ExecPolicy::Sequential)
 }
 
 /// [`run_attack`] with an explicit execution policy for the collective
@@ -167,7 +175,7 @@ pub fn run_attack_with(
     lg: &LabeledGraph<'_>,
     kind: LocalKind,
     model: AttackModel,
-    exec: ppdp_exec::ExecPolicy,
+    exec: ExecPolicy,
 ) -> Result<AttackOutcome> {
     let local = {
         let _fit_span = ppdp_telemetry::span(match kind {
@@ -178,6 +186,8 @@ pub fn run_attack_with(
         kind.fit(lg)
     };
     let _infer_span = ppdp_telemetry::span("attack.infer");
+    let unknown = lg.unknown_users();
+    let local = MemoLocal::new(local.as_ref(), lg, &unknown, exec);
     let mut iterations = 1;
     let mut converged = true;
     let mut final_residual = 0.0;
@@ -185,7 +195,7 @@ pub fn run_attack_with(
     let dists = match model {
         AttackModel::AttrOnly => {
             let mut state = RelationalState::new(lg);
-            for u in lg.unknown_users() {
+            for &u in &unknown {
                 state.set(u, local.predict_dist(&lg.masked_row(u)));
             }
             state.dist
@@ -194,14 +204,18 @@ pub fn run_attack_with(
             let mut state = RelationalState::new(lg);
             // Bootstrap every unknown user from attributes first, so each
             // user has at least an approximate distribution …
-            for u in lg.unknown_users() {
+            for &u in &unknown {
                 state.set(u, local.predict_dist(&lg.masked_row(u)));
             }
             // … then one weighted relational pass (Eq. 4.3), synchronous.
-            let passes: Vec<_> = lg
-                .unknown_users()
-                .into_iter()
-                .map(|u| (u, relational_dist(lg, &state, u)))
+            let weights = RelationalWeights::build(lg, &unknown, ExecPolicy::Sequential);
+            let passes: Vec<_> = unknown
+                .iter()
+                .enumerate()
+                .map(|(i, &u)| {
+                    let ns = lg.graph.neighbors(u);
+                    (u, relational_dist_from(&state, ns, weights.row(i)))
+                })
                 .collect();
             for (u, d) in passes {
                 if let Some(d) = d {
@@ -215,7 +229,7 @@ pub fn run_attack_with(
             // `ica_run`, which reports a typed error instead of panicking.
             let out = ica_run(
                 lg,
-                local.as_ref(),
+                &local,
                 IcaConfig {
                     alpha,
                     beta,
@@ -232,7 +246,7 @@ pub fn run_attack_with(
         AttackModel::Gibbs { alpha, beta } => {
             let out = crate::gibbs::gibbs_run(
                 lg,
-                local.as_ref(),
+                &local,
                 crate::gibbs::GibbsConfig {
                     alpha,
                     beta,
@@ -254,6 +268,63 @@ pub fn run_attack_with(
         final_residual,
         degraded,
     })
+}
+
+/// The attack's local classifier with its predictions for the unknown
+/// users' masked rows computed once per distinct row.
+///
+/// Exact: every [`LocalClassifier`] here is a pure function of the row
+/// (KNN breaks distance ties by training index, a total order), so a
+/// memoized prediction is bitwise the one a fresh call returns, and users
+/// that publish identical rows share one classifier run. Rows outside the
+/// memo fall through to the classifier.
+struct MemoLocal<'a> {
+    inner: &'a dyn LocalClassifier,
+    /// Distinct masked row → index into `dists`.
+    index: HashMap<Vec<Option<u16>>, usize>,
+    dists: Vec<Vec<f64>>,
+}
+
+impl<'a> MemoLocal<'a> {
+    fn new(
+        inner: &'a dyn LocalClassifier,
+        lg: &LabeledGraph<'_>,
+        users: &[UserId],
+        exec: ExecPolicy,
+    ) -> Self {
+        let mut index: HashMap<Vec<Option<u16>>, usize> = HashMap::new();
+        let mut rows: Vec<Vec<Option<u16>>> = Vec::new();
+        for &u in users {
+            index.entry(lg.masked_row(u)).or_insert_with_key(|row| {
+                rows.push(row.clone());
+                rows.len() - 1
+            });
+        }
+        let exec = if rows.len() >= PAR_MIN_ROWS {
+            exec
+        } else {
+            ExecPolicy::Sequential
+        };
+        let dists = exec.par_map(rows.len(), |i| inner.predict_dist(&rows[i]));
+        Self {
+            inner,
+            index,
+            dists,
+        }
+    }
+}
+
+impl LocalClassifier for MemoLocal<'_> {
+    fn n_classes(&self) -> usize {
+        self.inner.n_classes()
+    }
+
+    fn predict_dist(&self, row: &[Option<u16>]) -> Vec<f64> {
+        match self.index.get(row) {
+            Some(&i) => self.dists[i].clone(),
+            None => self.inner.predict_dist(row),
+        }
+    }
 }
 
 /// Fraction of `V^U` users whose argmax prediction matches ground truth.
@@ -364,6 +435,20 @@ mod tests {
         .unwrap();
         assert!(out.accuracy > 0.6, "Gibbs accuracy {}", out.accuracy);
         assert!(!out.degraded);
+    }
+
+    #[test]
+    fn memoized_local_predictions_equal_direct_calls() {
+        let g = community_graph(60, 13);
+        let lg = LabeledGraph::with_random_split(&g, CategoryId(2), 0.5, 13);
+        for kind in [LocalKind::Bayes, LocalKind::Knn(3), LocalKind::Rst] {
+            let local = kind.fit(&lg);
+            let out = run_attack(&lg, kind, AttackModel::AttrOnly).unwrap();
+            for u in lg.unknown_users() {
+                let direct = local.predict_dist(&lg.masked_row(u));
+                assert_eq!(out.dists[u.0], direct, "{kind:?} {u:?}");
+            }
+        }
     }
 
     #[test]

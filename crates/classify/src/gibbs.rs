@@ -9,7 +9,7 @@
 //! distributions. Seeded and fully deterministic.
 
 use crate::dataset::LabeledGraph;
-use crate::relational::{masked_weight, one_hot};
+use crate::relational::{one_hot, RelationalWeights};
 use crate::LocalClassifier;
 use ppdp_errors::{ensure, Result};
 use ppdp_exec::{split_seed, ExecPolicy};
@@ -111,7 +111,11 @@ pub fn gibbs_run(
         .iter()
         .map(|&u| local.predict_dist(&lg.masked_row(u)))
         .collect();
-    let wc = WeightCache::build(lg, &unknown, cfg.exec);
+    let wc = {
+        let _span = ppdp_telemetry::span("gibbs.weights");
+        RelationalWeights::build(lg, &unknown, cfg.exec)
+    };
+    ppdp_metrics::counter("gibbs.cached_weights", wc.len() as u64);
 
     let seeds = chain_seeds(&cfg);
     // Live progress across all chains: each chain bumps the
@@ -125,55 +129,6 @@ pub fn gibbs_run(
         run_chain(lg, &cfg, &unknown, &pa, &wc, seeds[c])
     });
     Ok(pool_chains(lg, &cfg, &chain_outs))
-}
-
-/// CSR arena of [`masked_weight`] values for every unknown user's
-/// neighbour list, row `i` aligned element-for-element with
-/// `lg.graph.neighbors(unknown[i])`.
-///
-/// `masked_weight` is a pure function of the published attribute table, so
-/// the weights are identical for every sweep of every chain — the sampler
-/// historically recomputed them per edge *per sweep*, an O(degree ×
-/// attributes) inner cost that dominated the 10⁶-node rows. Building the
-/// cache once and streaming `f64` lanes from a flat arena leaves the sweep
-/// loop with a pure gather, and because the cached values are bitwise the
-/// same ones the recomputation produced, every walk is unchanged.
-struct WeightCache {
-    off: Vec<usize>,
-    w: Vec<f64>,
-}
-
-impl WeightCache {
-    fn build(lg: &LabeledGraph<'_>, unknown: &[ppdp_graph::UserId], exec: ExecPolicy) -> Self {
-        let _span = ppdp_telemetry::span("gibbs.weights");
-        // Rows are independent pure computations collected in index order,
-        // so a parallel build is bitwise-identical to a sequential one.
-        let rows: Vec<Vec<f64>> = exec.par_map(unknown.len(), |i| {
-            let u = unknown[i];
-            lg.graph
-                .neighbors(u)
-                .iter()
-                .map(|&j| masked_weight(lg, u, j))
-                .collect()
-        });
-        let mut off = Vec::with_capacity(unknown.len() + 1);
-        off.push(0usize);
-        let total: usize = rows.iter().map(Vec::len).sum();
-        let mut w = Vec::with_capacity(total);
-        for row in &rows {
-            w.extend_from_slice(row);
-            off.push(w.len());
-        }
-        ppdp_metrics::counter("gibbs.cached_weights", w.len() as u64);
-        Self { off, w }
-    }
-
-    /// The `masked_weight` row for `unknown[i]`, aligned with its
-    /// neighbour list.
-    #[inline]
-    fn row(&self, i: usize) -> &[f64] {
-        &self.w[self.off[i]..self.off[i + 1]]
-    }
 }
 
 fn validate(lg: &LabeledGraph<'_>, local: &dyn LocalClassifier, cfg: &GibbsConfig) -> Result<()> {
@@ -288,10 +243,10 @@ struct ChainOut {
 }
 
 /// Combined conditional `α·P_A + β·P_L` for one user, written into the
-/// caller's scratch. `wrow` holds the cached `masked_weight` values for
-/// `ns` in neighbour order, so the accumulation performs the same
-/// additions in the same order as the historical per-edge recomputation —
-/// bitwise-identical, minus the O(attributes) work per edge.
+/// caller's scratch. `wrow` is the [`RelationalWeights`] row for `ns`, in
+/// neighbour order, so the accumulation performs the same additions in the
+/// same order as a per-edge recomputation — bitwise-identical, minus the
+/// O(attributes) work per edge per sweep.
 #[inline]
 fn conditional_into(
     cond: &mut [f64],
@@ -342,7 +297,7 @@ fn run_chain(
     cfg: &GibbsConfig,
     unknown: &[ppdp_graph::UserId],
     pa: &[Vec<f64>],
-    wc: &WeightCache,
+    wc: &RelationalWeights,
     seed: u64,
 ) -> ChainOut {
     let n_classes = lg.n_classes();

@@ -4,7 +4,7 @@
 //! `α·P_A{y} + β·P_L{y}`, until the label distributions converge.
 
 use crate::dataset::LabeledGraph;
-use crate::relational::{relational_dist, RelationalState};
+use crate::relational::{relational_dist_from, RelationalState, RelationalWeights};
 use crate::LocalClassifier;
 use ppdp_errors::{ensure, Result};
 use ppdp_exec::ExecPolicy;
@@ -159,6 +159,7 @@ pub fn ica_run(
     } else {
         ExecPolicy::Sequential
     };
+    let weights = RelationalWeights::build(lg, &unknown, exec);
 
     // Bootstrap (steps 1-3): attribute-only distributions for V^U. A
     // corrupt local prediction degrades to the uninformative uniform.
@@ -188,7 +189,8 @@ pub fn ica_run(
         let next: Vec<Vec<f64>> = fold_flag(
             exec.par_map(unknown.len(), |i| {
                 let a_dist = &pa[i];
-                match relational_dist(lg, &state, unknown[i]) {
+                let ns = lg.graph.neighbors(unknown[i]);
+                match relational_dist_from(&state, ns, weights.row(i)) {
                     // A corrupt combined distribution degrades to the
                     // attribute-only bootstrap (itself already repaired).
                     Some(l_dist) => {
@@ -300,6 +302,7 @@ fn fold_flag(items: Vec<(Vec<f64>, bool)>, repairs: &mut usize) -> Vec<Vec<f64>>
 mod tests {
     use super::*;
     use crate::naive_bayes::NaiveBayes;
+    use ppdp_exec::ExecPolicy;
     use ppdp_graph::{CategoryId, GraphBuilder, Schema, SocialGraph, UserId};
 
     /// Two homophilous cliques with an informative attribute; one unknown
@@ -594,6 +597,180 @@ mod tests {
         assert!(seq_out.degraded, "poison must trigger worker-side repairs");
         assert_eq!(seq_view, par_view);
         assert!(par_view.counter("ica.renormalized") > 0);
+    }
+
+    /// Test-only reference for Eq. (4.3): every weight recomputed through
+    /// [`crate::masked_weight`], summed in neighbour order.
+    fn relational_recompute(
+        lg: &LabeledGraph<'_>,
+        state: &RelationalState,
+        u: UserId,
+    ) -> Option<Vec<f64>> {
+        let ns = lg.graph.neighbors(u);
+        if ns.is_empty() {
+            return None;
+        }
+        let weights: Vec<f64> = ns.iter().map(|&j| crate::masked_weight(lg, u, j)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut out = vec![0.0; state.n_classes()];
+        if total > 0.0 {
+            for (&j, &w) in ns.iter().zip(&weights) {
+                for (o, p) in out.iter_mut().zip(&state.dist[j.0]) {
+                    *o += w * p;
+                }
+            }
+            for o in &mut out {
+                *o /= total;
+            }
+        } else {
+            for &j in ns {
+                for (o, p) in out.iter_mut().zip(&state.dist[j.0]) {
+                    *o += p;
+                }
+            }
+            for o in &mut out {
+                *o /= ns.len() as f64;
+            }
+        }
+        Some(out)
+    }
+
+    /// Test-only reference: ICA with every wvRN weight recomputed per
+    /// node per sweep ([`relational_recompute`]) and the local classifier
+    /// called once per user — the loop before weights were cached and
+    /// predictions memoized.
+    fn ica_recompute(
+        lg: &LabeledGraph<'_>,
+        local: &dyn LocalClassifier,
+        cfg: IcaConfig,
+    ) -> IcaOutcome {
+        let unknown = lg.unknown_users();
+        let mut state = RelationalState::new(lg);
+        let uniform = vec![1.0 / lg.n_classes() as f64; lg.n_classes()];
+        let mut repairs = 0usize;
+        let pa: Vec<Vec<f64>> = unknown
+            .iter()
+            .map(|&u| {
+                let (d, r) = checked_dist_flag(local.predict_dist(&lg.masked_row(u)), &uniform);
+                repairs += usize::from(r);
+                d
+            })
+            .collect();
+        for (&u, d) in unknown.iter().zip(&pa) {
+            state.set(u, d.clone());
+        }
+        let (mut iterations, mut final_delta, mut converged, mut label_flips) =
+            (0, f64::INFINITY, false, 0);
+        for _ in 0..cfg.max_iters {
+            iterations += 1;
+            let next: Vec<Vec<f64>> = unknown
+                .iter()
+                .zip(&pa)
+                .map(|(&u, a)| match relational_recompute(lg, &state, u) {
+                    Some(l) => {
+                        let (d, r) = checked_dist_flag(mix(a, &l, cfg.alpha, cfg.beta), a);
+                        repairs += usize::from(r);
+                        d
+                    }
+                    None => a.clone(),
+                })
+                .collect();
+            let mut delta = 0.0f64;
+            for (&u, d) in unknown.iter().zip(next) {
+                if crate::argmax(&state.dist[u.0]) != crate::argmax(&d) {
+                    label_flips += 1;
+                }
+                for (old, new) in state.dist[u.0].iter().zip(&d) {
+                    delta = delta.max((old - new).abs());
+                }
+                state.set(u, d);
+            }
+            final_delta = delta;
+            if delta < cfg.tol {
+                converged = true;
+                break;
+            }
+        }
+        IcaOutcome {
+            dists: state.dist,
+            iterations,
+            final_delta,
+            converged,
+            label_flips,
+            degraded: repairs > 0,
+        }
+    }
+
+    fn bits(dists: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        dists
+            .iter()
+            .map(|d| d.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// The cached-weight ICA, and `run_attack_with`'s memoized Collective
+    /// and LinkOnly models, reproduce the recompute reference bit for bit
+    /// on a Caltech-shaped graph, for both target labels and policies.
+    #[test]
+    fn cached_weights_reproduce_the_recompute_reference_bitwise() {
+        use crate::eval::{run_attack_with, AttackModel, LocalKind};
+        let d = ppdp_datagen::social::caltech_like(42);
+        for label in [d.privacy_cat, d.utility_cat] {
+            let lg = LabeledGraph::with_random_split(&d.graph, label, 0.7, 42);
+            let nb = NaiveBayes::train(&lg.train_set());
+            let reference = ica_recompute(&lg, &nb, IcaConfig::default());
+            assert!(reference.iterations > 1, "{reference:?}");
+            let mut link_ref = RelationalState::new(&lg);
+            for u in lg.unknown_users() {
+                link_ref.set(u, nb.predict_dist(&lg.masked_row(u)));
+            }
+            let mut link_ref_dists = link_ref.dist.clone();
+            for u in lg.unknown_users() {
+                if let Some(d) = relational_recompute(&lg, &link_ref, u) {
+                    link_ref_dists[u.0] = d;
+                }
+            }
+            for exec in [ExecPolicy::Sequential, ExecPolicy::parallel(2)] {
+                let cfg = IcaConfig {
+                    exec,
+                    ..Default::default()
+                };
+                let got = ica_run(&lg, &nb, cfg).unwrap();
+                assert_eq!(
+                    bits(&got.dists),
+                    bits(&reference.dists),
+                    "{label:?} {exec:?}"
+                );
+                assert_eq!(got.final_delta.to_bits(), reference.final_delta.to_bits());
+                assert_eq!(
+                    (got.iterations, got.converged, got.label_flips, got.degraded),
+                    (
+                        reference.iterations,
+                        reference.converged,
+                        reference.label_flips,
+                        reference.degraded
+                    )
+                );
+                let model = AttackModel::Collective {
+                    alpha: 0.5,
+                    beta: 0.5,
+                };
+                let attack = run_attack_with(&lg, LocalKind::Bayes, model, exec).unwrap();
+                assert_eq!(
+                    bits(&attack.dists),
+                    bits(&reference.dists),
+                    "{label:?} {exec:?}"
+                );
+                assert_eq!(attack.iterations, reference.iterations);
+                let link =
+                    run_attack_with(&lg, LocalKind::Bayes, AttackModel::LinkOnly, exec).unwrap();
+                assert_eq!(
+                    bits(&link.dists),
+                    bits(&link_ref_dists),
+                    "{label:?} {exec:?}"
+                );
+            }
+        }
     }
 
     #[test]

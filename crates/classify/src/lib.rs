@@ -29,7 +29,10 @@ pub use ica::{ica_predict, ica_run, IcaConfig, IcaOutcome};
 pub use knn::Knn;
 pub use metrics::{cross_validate, ConfusionMatrix};
 pub use naive_bayes::NaiveBayes;
-pub use relational::{masked_weight, one_hot, relational_dist, RelationalState};
+pub use relational::{
+    masked_weight, one_hot, relational_dist, relational_dist_from, RelationalState,
+    RelationalWeights,
+};
 
 /// A trained attribute-based classifier producing class-probability
 /// distributions from a full attribute row (`None` = unpublished value).

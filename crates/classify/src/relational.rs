@@ -3,6 +3,7 @@
 //! average of its neighbours' current distributions.
 
 use crate::dataset::LabeledGraph;
+use ppdp_exec::ExecPolicy;
 use ppdp_graph::UserId;
 
 /// The evolving per-user class distributions used by relational and
@@ -73,6 +74,63 @@ pub fn masked_weight(lg: &LabeledGraph<'_>, i: UserId, j: UserId) -> f64 {
     shared as f64 / denom as f64
 }
 
+/// CSR arena of [`masked_weight`] values: row `i` holds `W_{u,j}` for
+/// `u = users[i]`, aligned element-for-element with
+/// `lg.graph.neighbors(u)`.
+///
+/// The weights are a pure function of the published attribute table, so
+/// ICA's sweeps, the LinkOnly pass, every Gibbs sweep and the link scorer
+/// read one arena built once per [`LabeledGraph`] instead of recomputing an
+/// O(attributes) weight per edge per pass. The cached values are the ones
+/// [`masked_weight`] returns, and readers sum them in neighbour order, so
+/// cached and recomputed inference agree bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RelationalWeights {
+    off: Vec<usize>,
+    w: Vec<f64>,
+}
+
+impl RelationalWeights {
+    /// Builds the rows of `users` (typically [`LabeledGraph::unknown_users`],
+    /// the users whose relational distribution is read). Rows are
+    /// independent and collected in index order, so the arena is identical
+    /// for every execution policy.
+    pub fn build(lg: &LabeledGraph<'_>, users: &[UserId], exec: ExecPolicy) -> Self {
+        let rows: Vec<Vec<f64>> = exec.par_map(users.len(), |i| {
+            let u = users[i];
+            lg.graph
+                .neighbors(u)
+                .iter()
+                .map(|&j| masked_weight(lg, u, j))
+                .collect()
+        });
+        let mut off = Vec::with_capacity(users.len() + 1);
+        off.push(0);
+        let mut w = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+        for row in &rows {
+            w.extend_from_slice(row);
+            off.push(w.len());
+        }
+        Self { off, w }
+    }
+
+    /// The weight row of `users[i]`, aligned with its neighbour list.
+    #[inline]
+    pub fn row(&self, i: usize) -> &[f64] {
+        &self.w[self.off[i]..self.off[i + 1]]
+    }
+
+    /// Number of cached weights (the summed degree of the built users).
+    pub fn len(&self) -> usize {
+        self.w.len()
+    }
+
+    /// Whether no weight is cached.
+    pub fn is_empty(&self) -> bool {
+        self.w.is_empty()
+    }
+}
+
 /// Relational distribution `P(y^i_t | N_i)` per Eq. (4.3): the wvRN-weighted
 /// average of neighbours' distributions,
 /// `P(y^i_t | N_i) = Σ_j P(y^j_t) · W_{i,j} / Σ_k W_{i,k}`.
@@ -81,21 +139,34 @@ pub fn masked_weight(lg: &LabeledGraph<'_>, i: UserId, j: UserId) -> f64 {
 /// *and* there are no neighbours to average at all — in the all-zero-weight
 /// case the unweighted mean of Eq. (4.1) is used instead, matching the
 /// paper's fallback from the weighted to the plain average.
+///
+/// Recomputes `u`'s weights; inference loops read a [`RelationalWeights`]
+/// row through [`relational_dist_from`] instead.
 pub fn relational_dist(
     lg: &LabeledGraph<'_>,
     state: &RelationalState,
     u: UserId,
 ) -> Option<Vec<f64>> {
     let ns = lg.graph.neighbors(u);
+    let weights: Vec<f64> = ns.iter().map(|&j| masked_weight(lg, u, j)).collect();
+    relational_dist_from(state, ns, &weights)
+}
+
+/// [`relational_dist`] over the neighbour list `ns` with its weight row
+/// `weights` (element-for-element, e.g. a [`RelationalWeights::row`]).
+pub fn relational_dist_from(
+    state: &RelationalState,
+    ns: &[UserId],
+    weights: &[f64],
+) -> Option<Vec<f64>> {
+    debug_assert_eq!(ns.len(), weights.len());
     if ns.is_empty() {
         return None;
     }
-    let n_classes = state.n_classes();
-    let weights: Vec<f64> = ns.iter().map(|&j| masked_weight(lg, u, j)).collect();
+    let mut out = vec![0.0; state.n_classes()];
     let total: f64 = weights.iter().sum();
-    let mut out = vec![0.0; n_classes];
     if total > 0.0 {
-        for (&j, &w) in ns.iter().zip(&weights) {
+        for (&j, &w) in ns.iter().zip(weights) {
             for (o, p) in out.iter_mut().zip(&state.dist[j.0]) {
                 *o += w * p;
             }
@@ -147,6 +218,33 @@ mod tests {
         // Weight computation itself masks the label column.
         assert!((masked_weight(&lg, UserId(0), UserId(2)) - 0.5).abs() < 1e-12);
         assert!(masked_weight(&lg, UserId(0), UserId(3)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cached_rows_are_the_recomputed_weights_bitwise() {
+        let g = star();
+        let lg = LabeledGraph::new(&g, CategoryId(2), vec![false, true, false, true]);
+        let users = [UserId(0), UserId(2), UserId(3)];
+        let w = RelationalWeights::build(&lg, &users, ExecPolicy::Sequential);
+        assert_eq!(
+            w,
+            RelationalWeights::build(&lg, &users, ExecPolicy::parallel(2))
+        );
+        assert_eq!(w.len(), 5);
+        let state = RelationalState::new(&lg);
+        for (i, &u) in users.iter().enumerate() {
+            let ns = g.neighbors(u);
+            let want: Vec<u64> = ns
+                .iter()
+                .map(|&j| masked_weight(&lg, u, j).to_bits())
+                .collect();
+            let got: Vec<u64> = w.row(i).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "row of {u:?}");
+            assert_eq!(
+                relational_dist_from(&state, ns, w.row(i)),
+                relational_dist(&lg, &state, u)
+            );
+        }
     }
 
     #[test]

@@ -5,12 +5,23 @@
 //! the class probabilities drops below Δ'. The link-removal sanitizer
 //! removes the links whose removal minimizes that variance, so the attacker
 //! ends up unable to tell the classes apart.
+//!
+//! Scoring runs on per-victim totals (the total − own move): for a victim
+//! `u` with current neighbours `N_u`, wvRN weights `w` and reference
+//! distributions `d`, keep `W_u = Σ w`, `S_u = Σ w·d_j`, `P_u = Σ d_j` and
+//! `|N_u|`. Removing neighbour `j` then leaves `(S_u − w·d_j)/(W_u − w)`, or
+//! the plain average `(P_u − d_j)/(|N_u| − 1)` when no other neighbour
+//! shares an attribute. A scoring pass therefore costs O(E·C) for E links
+//! and C classes, and after a removal batch only the touched endpoints'
+//! totals and incident links are recomputed. The subtraction is not
+//! bitwise the sum it replaces: scores agree with a direct recomputation to
+//! ~1e-16, which can reorder exact ties between links.
 
-use ppdp_classify::{masked_weight, AttackModel, LabeledGraph, LocalKind};
+use ppdp_classify::{AttackModel, LabeledGraph, LocalKind, RelationalWeights};
 use ppdp_errors::{ensure, Result};
 use ppdp_exec::ExecPolicy;
 use ppdp_graph::{CategoryId, SocialGraph, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
 
 /// Below this many candidate links the per-edge scoring is too cheap to be
 /// worth spawning worker threads for; the run silently stays sequential.
@@ -32,55 +43,193 @@ pub struct LinkScore {
 /// Population variance of a probability vector — the indistinguishability
 /// criterion of Eq. (3.4). Zero means perfectly uniform (fully hidden).
 pub fn dist_variance(dist: &[f64]) -> f64 {
-    if dist.is_empty() {
-        return 0.0;
-    }
-    let mean = dist.iter().sum::<f64>() / dist.len() as f64;
-    dist.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / dist.len() as f64
+    variance_of(dist.len(), |c| dist[c])
 }
 
-/// Relational distribution of `u` with neighbour `skip` excluded — the
-/// "what if this link were removed" evaluation behind Def. 3.5.1.
-fn relational_without(
-    lg: &LabeledGraph<'_>,
-    dists: &[Vec<f64>],
-    u: UserId,
-    skip: UserId,
-) -> Option<Vec<f64>> {
-    let ns: Vec<UserId> = lg
-        .graph
-        .neighbors(u)
-        .iter()
-        .copied()
-        .filter(|&j| j != skip)
-        .collect();
-    if ns.is_empty() {
-        return None;
+/// [`dist_variance`] of the vector `(p(0), …, p(n − 1))` without
+/// materializing it; `p` is evaluated twice per entry.
+fn variance_of(n: usize, p: impl Fn(usize) -> f64) -> f64 {
+    if n == 0 {
+        return 0.0;
     }
-    let n_classes = lg.n_classes();
-    let weights: Vec<f64> = ns.iter().map(|&j| masked_weight(lg, u, j)).collect();
-    let total: f64 = weights.iter().sum();
-    let mut out = vec![0.0; n_classes];
-    if total > 0.0 {
-        for (&j, &w) in ns.iter().zip(&weights) {
-            for (o, p) in out.iter_mut().zip(&dists[j.0]) {
-                *o += w * p;
+    let mean = (0..n).map(&p).sum::<f64>() / n as f64;
+    (0..n)
+        .map(|c| {
+            let x = p(c) - mean;
+            x * x
+        })
+        .sum::<f64>()
+        / n as f64
+}
+
+/// The relational state a link score reads: per-victim totals over the
+/// victim's current neighbours, the cached wvRN weights and the attacker's
+/// static reference distributions.
+struct LinkScorer<'a> {
+    /// The graph the weights were built on; the current graph may only
+    /// have lost edges since.
+    lg: &'a LabeledGraph<'a>,
+    dists: &'a [Vec<f64>],
+    n_classes: usize,
+    /// `row[u]` = `u`'s row in `weights`; `None` for known users.
+    row: Vec<Option<usize>>,
+    weights: RelationalWeights,
+    /// `W_u`, the summed weight of `u`'s current neighbours.
+    w_sum: Vec<f64>,
+    /// `2·n_classes` lanes per user: `S_u = Σ w·d_j`, then `P_u = Σ d_j`.
+    sums: Vec<f64>,
+    /// `|N_u|` in the current graph.
+    deg: Vec<usize>,
+}
+
+impl<'a> LinkScorer<'a> {
+    /// Builds weights and totals for every victim (unknown-label user) of
+    /// `lg.graph`.
+    fn new(exec: ExecPolicy, lg: &'a LabeledGraph<'a>, dists: &'a [Vec<f64>]) -> Self {
+        let n = lg.graph.user_count();
+        let n_classes = lg.n_classes();
+        let victims: Vec<UserId> = lg.graph.users().filter(|u| !lg.known[u.0]).collect();
+        let mut row = vec![None; n];
+        for (i, u) in victims.iter().enumerate() {
+            row[u.0] = Some(i);
+        }
+        let exec = if lg.graph.edge_count() >= PAR_MIN_EDGES {
+            exec
+        } else {
+            ExecPolicy::Sequential
+        };
+        let weights = RelationalWeights::build(lg, &victims, exec);
+        let mut scorer = Self {
+            lg,
+            dists,
+            n_classes,
+            row,
+            weights,
+            w_sum: vec![0.0; n],
+            sums: vec![0.0; 2 * n * n_classes],
+            deg: vec![0; n],
+        };
+        let totals = exec.par_map(victims.len(), |i| {
+            scorer.totals(victims[i], i, lg.graph.neighbors(victims[i]))
+        });
+        for (&u, (w_sum, sums)) in victims.iter().zip(totals) {
+            scorer.store(u, lg.graph.neighbors(u).len(), w_sum, &sums);
+        }
+        scorer
+    }
+
+    /// `(W_u, S_u ‖ P_u)` of victim `u` (weight row `r`) over `ns`, a
+    /// sorted subsequence of its neighbours in the built graph.
+    fn totals(&self, u: UserId, r: usize, ns: &[UserId]) -> (f64, Vec<f64>) {
+        let c = self.n_classes;
+        let built = self.lg.graph.neighbors(u);
+        let w = self.weights.row(r);
+        let mut w_sum = 0.0;
+        let mut sums = vec![0.0; 2 * c];
+        let (s, p) = sums.split_at_mut(c);
+        let mut k = 0;
+        for &j in ns {
+            while built[k] != j {
+                k += 1;
+            }
+            w_sum += w[k];
+            for ((s, p), d) in s.iter_mut().zip(p.iter_mut()).zip(&self.dists[j.0]) {
+                *s += w[k] * d;
+                *p += d;
             }
         }
-        for o in &mut out {
-            *o /= total;
-        }
-    } else {
-        for &j in &ns {
-            for (o, p) in out.iter_mut().zip(&dists[j.0]) {
-                *o += p;
+        (w_sum, sums)
+    }
+
+    fn store(&mut self, u: UserId, deg: usize, w_sum: f64, sums: &[f64]) {
+        let lanes = 2 * self.n_classes;
+        self.w_sum[u.0] = w_sum;
+        self.sums[u.0 * lanes..(u.0 + 1) * lanes].copy_from_slice(sums);
+        self.deg[u.0] = deg;
+    }
+
+    /// Recomputes the totals of the victims among `users` over their
+    /// neighbours in `current`.
+    fn refresh(&mut self, current: &SocialGraph, users: &[usize]) {
+        for &u in users {
+            let u = UserId(u);
+            if let Some(r) = self.row[u.0] {
+                let ns = current.neighbors(u);
+                let (w_sum, sums) = self.totals(u, r, ns);
+                self.store(u, ns.len(), w_sum, &sums);
             }
         }
-        for o in &mut out {
-            *o /= ns.len() as f64;
+    }
+
+    /// Variance of victim `u`'s relational distribution once the link to
+    /// `skip` is gone, or `None` when `u`'s label is already public.
+    fn victim_variance(&self, u: UserId, skip: UserId) -> Option<f64> {
+        let r = self.row[u.0]?;
+        let c = self.n_classes;
+        let deg = self.deg[u.0];
+        if deg <= 1 {
+            // The sole link: `u` falls back to its bootstrap distribution.
+            return Some(dist_variance(&self.dists[u.0]));
+        }
+        let d = &self.dists[skip.0];
+        // `skip` is a neighbour in the built graph, so the search hits.
+        let w = self
+            .lg
+            .graph
+            .neighbors(u)
+            .binary_search(&skip)
+            .map_or(0.0, |k| self.weights.row(r)[k]);
+        let rest = self.w_sum[u.0] - w;
+        let (s, p) = self.sums[2 * c * u.0..2 * c * (u.0 + 1)].split_at(c);
+        Some(if rest > 0.0 {
+            variance_of(c, |k| (s[k] - w * d[k]) / rest)
+        } else {
+            // Eq. (4.1): plain average when no other neighbour shares an
+            // attribute. Adding 0.0 weights is exact, so `rest` is exactly
+            // zero in that case.
+            let others = (deg - 1) as f64;
+            variance_of(c, |k| (p[k] - d[k]) / others)
+        })
+    }
+
+    /// Scores the link `{a, b}` by its more indistinguishable victim
+    /// endpoint (ties go to `a`); `+∞` when both labels are public.
+    fn score(&self, (a, b): (UserId, UserId)) -> LinkScore {
+        let va = self.victim_variance(a, b);
+        let vb = self.victim_variance(b, a);
+        match (va, vb) {
+            (Some(x), Some(y)) if y < x => LinkScore {
+                user: b,
+                neighbor: a,
+                variance: y,
+            },
+            (Some(x), _) => LinkScore {
+                user: a,
+                neighbor: b,
+                variance: x,
+            },
+            (None, Some(y)) => LinkScore {
+                user: b,
+                neighbor: a,
+                variance: y,
+            },
+            (None, None) => LinkScore {
+                user: a,
+                neighbor: b,
+                variance: f64::INFINITY,
+            },
         }
     }
-    Some(out)
+
+    /// Scores `edges`, fanning out under `exec` when there are enough.
+    fn score_all(&self, exec: ExecPolicy, edges: &[(UserId, UserId)]) -> Vec<LinkScore> {
+        let exec = if edges.len() >= PAR_MIN_EDGES {
+            exec
+        } else {
+            ExecPolicy::Sequential
+        };
+        exec.par_map(edges.len(), |i| self.score(edges[i]))
+    }
 }
 
 /// Scores every undirected link of the graph by the *minimum* post-removal
@@ -102,80 +251,43 @@ pub fn indistinguishable_links(lg: &LabeledGraph<'_>, dists: &[Vec<f64>]) -> Vec
 }
 
 /// [`indistinguishable_links`] with an explicit execution policy: under
-/// [`ExecPolicy::Parallel`] the per-link evaluations fan out across worker
-/// threads. Each link's score is independent of every other link's, and the
-/// final ordering is a total sort with deterministic tie-breaks, so the
-/// returned list is identical for every policy and thread count.
+/// [`ExecPolicy::Parallel`] the per-victim totals and per-link evaluations
+/// fan out across worker threads. Each link's score is independent of every
+/// other link's, and the final ordering is a total sort with deterministic
+/// tie-breaks, so the returned list is identical for every policy and
+/// thread count.
 pub fn indistinguishable_links_with(
     exec: ExecPolicy,
     lg: &LabeledGraph<'_>,
     dists: &[Vec<f64>],
 ) -> Vec<LinkScore> {
+    let scorer = LinkScorer::new(exec, lg, dists);
     let edges: Vec<(UserId, UserId)> = lg.graph.edges().collect();
-    let exec = if edges.len() >= PAR_MIN_EDGES {
-        exec
-    } else {
-        ExecPolicy::Sequential
-    };
-    let mut scores: Vec<LinkScore> = exec.par_map(edges.len(), |i| {
-        let (a, b) = edges[i];
-        score_edge(lg, dists, a, b)
-    });
-    sort_scores(&mut scores);
+    let mut scores = scorer.score_all(exec, &edges);
+    scores.sort_by(rank);
     scores
-}
-
-/// Scores one candidate link against the current graph. A pure function of
-/// the two endpoints' neighbour sets (plus the static reference
-/// distributions and known mask) — the property the incremental removal
-/// loop exploits: removing a batch of edges only changes the scores of
-/// links incident to a touched endpoint.
-fn score_edge(lg: &LabeledGraph<'_>, dists: &[Vec<f64>], a: UserId, b: UserId) -> LinkScore {
-    let victim_var = |u: UserId, other: UserId| -> Option<f64> {
-        if lg.known[u.0] {
-            return None; // label already public; nothing to protect
-        }
-        Some(
-            relational_without(lg, dists, u, other)
-                .map(|d| dist_variance(&d))
-                .unwrap_or_else(|| dist_variance(&dists[u.0])),
-        )
-    };
-    let va = victim_var(a, b);
-    let vb = victim_var(b, a);
-    match (va, vb) {
-        (Some(x), Some(y)) if y < x => LinkScore {
-            user: b,
-            neighbor: a,
-            variance: y,
-        },
-        (Some(x), _) => LinkScore {
-            user: a,
-            neighbor: b,
-            variance: x,
-        },
-        (None, Some(y)) => LinkScore {
-            user: b,
-            neighbor: a,
-            variance: y,
-        },
-        (None, None) => LinkScore {
-            user: a,
-            neighbor: b,
-            variance: f64::INFINITY,
-        },
-    }
 }
 
 /// Ascending total order: variance, then victim, then neighbour — the
 /// deterministic ranking every scoring pass uses.
-fn sort_scores(scores: &mut [LinkScore]) {
-    scores.sort_by(|x, y| {
-        x.variance
-            .total_cmp(&y.variance)
-            .then(x.user.cmp(&y.user))
-            .then(x.neighbor.cmp(&y.neighbor))
-    });
+fn rank(x: &LinkScore, y: &LinkScore) -> Ordering {
+    x.variance
+        .total_cmp(&y.variance)
+        .then(x.user.cmp(&y.user))
+        .then(x.neighbor.cmp(&y.neighbor))
+}
+
+/// Moves the `take` lowest-ranked scores to the front of `scores`, sorted
+/// by [`rank`] — the prefix a full sort would produce, because `rank` is a
+/// total order over distinct links. The tail is left unordered.
+fn select_top(scores: &mut [LinkScore], take: usize) {
+    if take == 0 || scores.is_empty() {
+        return;
+    }
+    if take < scores.len() {
+        scores.select_nth_unstable_by(take - 1, rank);
+    }
+    scores[..take].sort_by(rank);
 }
 
 /// Removes the `count` most indistinguishable links and returns the
@@ -235,63 +347,60 @@ pub fn remove_indistinguishable_links_with(
     let _span = ppdp_telemetry::span("links.remove_indistinguishable");
     let lg0 = LabeledGraph::new(g, label_cat, known.to_vec());
     let boot = ppdp_classify::run_attack(&lg0, kind, AttackModel::AttrOnly)?;
+    let mut scorer = LinkScorer::new(exec, &lg0, &boot.dists);
     let mut out = g.clone();
     let mut left = count;
     // Re-score every `batch` removals; cap the number of scoring passes so
     // large sweeps stay tractable.
     let batch = (count / 10).max(50);
-    // Incremental score cache, keyed by the canonical (low, high) edge. An
-    // edge's score is a pure function of its endpoints' neighbour sets (see
-    // [`score_edge`]), so after a removal batch only edges incident to a
-    // touched endpoint are re-scored; every other cached score is exactly
-    // what a full re-scoring pass would recompute.
-    let mut cache: BTreeMap<(usize, usize), LinkScore> = BTreeMap::new();
-    // `None` = first pass, everything needs scoring.
-    let mut touched: Option<BTreeSet<usize>> = None;
-    let mut rescored = 0u64;
+    // One flat score list. A link's score is a pure function of its
+    // endpoints' neighbour sets, so after a removal batch only links
+    // incident to a touched endpoint are dropped and re-scored; every other
+    // entry is exactly what a full re-scoring pass would recompute.
+    let edges: Vec<(UserId, UserId)> = g.edges().collect();
+    let mut scores = scorer.score_all(exec, &edges);
+    let mut rescored = scores.len() as u64;
     let mut reused = 0u64;
-    while left > 0 && out.edge_count() > 0 {
-        let lg = LabeledGraph::new(&out, label_cat, known.to_vec());
-        let edges: Vec<(UserId, UserId)> = lg.graph.edges().collect();
-        let need: Vec<(UserId, UserId)> = match &touched {
-            None => edges.clone(),
-            Some(t) => edges
-                .iter()
-                .copied()
-                .filter(|(a, b)| t.contains(&a.0) || t.contains(&b.0))
-                .collect(),
-        };
-        rescored += need.len() as u64;
-        reused += (edges.len() - need.len()) as u64;
-        let pass_exec = if need.len() >= PAR_MIN_EDGES {
-            exec
-        } else {
-            ExecPolicy::Sequential
-        };
-        let fresh = pass_exec.par_map(need.len(), |i| {
-            let (a, b) = need[i];
-            score_edge(&lg, &boot.dists, a, b)
-        });
-        for (&(a, b), s) in need.iter().zip(&fresh) {
-            cache.insert((a.0, b.0), *s);
-        }
-        let mut scores: Vec<LinkScore> = cache.values().copied().collect();
-        sort_scores(&mut scores);
+    let mut is_dirty = vec![false; g.user_count()];
+    loop {
         let take = left.min(batch).min(scores.len());
         if take == 0 {
             break;
         }
-        let mut dirty: BTreeSet<usize> = BTreeSet::new();
-        for s in scores.into_iter().take(take) {
+        select_top(&mut scores, take);
+        let mut dirty: Vec<usize> = Vec::with_capacity(2 * take);
+        for s in scores.drain(..take) {
             out.remove_edge(s.user, s.neighbor);
-            let key = (s.user.0.min(s.neighbor.0), s.user.0.max(s.neighbor.0));
-            cache.remove(&key);
-            dirty.insert(s.user.0);
-            dirty.insert(s.neighbor.0);
+            for u in [s.user.0, s.neighbor.0] {
+                if !is_dirty[u] {
+                    is_dirty[u] = true;
+                    dirty.push(u);
+                }
+            }
         }
         ppdp_telemetry::counter("links.removed", take as u64);
         left -= take;
-        touched = Some(dirty);
+        if left == 0 || out.edge_count() == 0 {
+            break;
+        }
+        scorer.refresh(&out, &dirty);
+        scores.retain(|s| !is_dirty[s.user.0] && !is_dirty[s.neighbor.0]);
+        // Each link with a dirty endpoint once: from its lower endpoint
+        // when both are dirty.
+        let mut need: Vec<(UserId, UserId)> = Vec::new();
+        for &d in &dirty {
+            for &j in out.neighbors(UserId(d)) {
+                if !is_dirty[j.0] || d < j.0 {
+                    need.push((UserId(d.min(j.0)), UserId(d.max(j.0))));
+                }
+            }
+        }
+        rescored += need.len() as u64;
+        reused += scores.len() as u64;
+        scores.extend(scorer.score_all(exec, &need));
+        for &u in &dirty {
+            is_dirty[u] = false;
+        }
     }
     ppdp_telemetry::counter("links.rescored", rescored);
     ppdp_telemetry::counter("links.rescore_saved", reused);
@@ -301,7 +410,218 @@ pub fn remove_indistinguishable_links_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppdp_classify::masked_weight;
     use ppdp_graph::{GraphBuilder, Schema};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Oracle: the relational distribution of `u` with neighbour `skip`
+    /// excluded, recomputed from scratch (weights and sums) — the
+    /// per-link evaluation the total − own scorer replaces.
+    fn relational_without(
+        lg: &LabeledGraph<'_>,
+        dists: &[Vec<f64>],
+        u: UserId,
+        skip: UserId,
+    ) -> Option<Vec<f64>> {
+        let ns: Vec<UserId> = lg
+            .graph
+            .neighbors(u)
+            .iter()
+            .copied()
+            .filter(|&j| j != skip)
+            .collect();
+        if ns.is_empty() {
+            return None;
+        }
+        let weights: Vec<f64> = ns.iter().map(|&j| masked_weight(lg, u, j)).collect();
+        let total: f64 = weights.iter().sum();
+        let mut out = vec![0.0; lg.n_classes()];
+        if total > 0.0 {
+            for (&j, &w) in ns.iter().zip(&weights) {
+                for (o, p) in out.iter_mut().zip(&dists[j.0]) {
+                    *o += w * p;
+                }
+            }
+            for o in &mut out {
+                *o /= total;
+            }
+        } else {
+            for &j in &ns {
+                for (o, p) in out.iter_mut().zip(&dists[j.0]) {
+                    *o += p;
+                }
+            }
+            for o in &mut out {
+                *o /= ns.len() as f64;
+            }
+        }
+        Some(out)
+    }
+
+    /// Oracle victim variance: `None` for a known user, the bootstrap
+    /// variance when the candidate is the victim's sole link.
+    fn oracle_variance(
+        lg: &LabeledGraph<'_>,
+        dists: &[Vec<f64>],
+        u: UserId,
+        skip: UserId,
+    ) -> Option<f64> {
+        if lg.known[u.0] {
+            return None;
+        }
+        Some(
+            relational_without(lg, dists, u, skip)
+                .map(|d| dist_variance(&d))
+                .unwrap_or_else(|| dist_variance(&dists[u.0])),
+        )
+    }
+
+    /// Asserts every link's two victim variances agree with the oracle to
+    /// 1e-12, and `indistinguishable_links` scores each link by them.
+    fn assert_matches_oracle(lg: &LabeledGraph<'_>, dists: &[Vec<f64>]) -> usize {
+        let scorer = LinkScorer::new(ExecPolicy::Sequential, lg, dists);
+        let mut checked = 0;
+        for (a, b) in lg.graph.edges() {
+            for (u, skip) in [(a, b), (b, a)] {
+                let got = scorer.victim_variance(u, skip);
+                let want = oracle_variance(lg, dists, u, skip);
+                match (got, want) {
+                    (None, None) => {}
+                    (Some(x), Some(y)) => {
+                        assert!((x - y).abs() <= 1e-12, "{u:?} without {skip:?}: {x} vs {y}");
+                        checked += 1;
+                    }
+                    _ => panic!("{u:?} without {skip:?}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        let scores = indistinguishable_links(lg, dists);
+        assert_eq!(scores.len(), lg.graph.edge_count());
+        for s in &scores {
+            let want = [(s.user, s.neighbor), (s.neighbor, s.user)]
+                .iter()
+                .filter_map(|&(u, skip)| oracle_variance(lg, dists, u, skip))
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                s.variance == want || (s.variance - want).abs() <= 1e-12,
+                "{s:?} vs oracle {want}"
+            );
+        }
+        checked
+    }
+
+    /// Label is category 2 (3 classes); categories 0 and 1 are features.
+    /// Covers a degree-1 victim, a victim whose neighbours share no
+    /// attribute (every weight 0), a victim with exactly one positive
+    /// weight (removing that link leaves an all-zero rest), a victim that
+    /// publishes no feature, and a known–known link.
+    #[test]
+    fn total_minus_own_scores_match_the_recomputation_oracle() {
+        let mut b = GraphBuilder::new(Schema::uniform(3, 3));
+        let hub = b.user_with(&[0, 0, 0]); // 0: victim, mixed weights
+        let k1 = b.user_with(&[0, 1, 1]); // 1: known
+        let k2 = b.user_with(&[0, 0, 2]); // 2: known
+        let k3 = b.user_with(&[1, 1, 0]); // 3: known
+        let leaf = b.user_with(&[0, 1, 1]); // 4: victim of degree 1
+        let alien = b.user_with(&[2, 2, 1]); // 5: victim, shares nothing
+        let single = b.user_with(&[1, 0, 2]); // 6: victim, one positive weight
+        let blank = b.user(); // 7: victim publishing nothing
+        b.edge(hub, k1)
+            .edge(hub, k2)
+            .edge(hub, k3)
+            .edge(hub, single);
+        b.edge(k1, k2); // known–known: +∞
+        b.edge(leaf, k1);
+        b.edge(alien, k1).edge(alien, k2).edge(alien, k3);
+        b.edge(single, k1).edge(single, k3).edge(single, k2);
+        b.edge(blank, k2).edge(blank, k3);
+        let g = b.build();
+        let known = vec![false, true, true, true, false, false, false, false];
+        let lg = LabeledGraph::new(&g, CategoryId(2), known);
+        let dists = vec![
+            vec![0.2, 0.5, 0.3],
+            vec![0.0, 1.0, 0.0],
+            vec![0.0, 0.0, 1.0],
+            vec![1.0, 0.0, 0.0],
+            vec![0.6, 0.3, 0.1],
+            vec![0.1, 0.1, 0.8],
+            vec![0.3, 0.3, 0.4],
+            vec![0.5, 0.25, 0.25],
+        ];
+        assert!(masked_weight(&lg, alien, k1) == 0.0 && masked_weight(&lg, alien, k3) == 0.0);
+        assert!(masked_weight(&lg, single, k3) > 0.0 && masked_weight(&lg, single, k1) == 0.0);
+        assert_eq!(assert_matches_oracle(&lg, &dists), 14);
+        let scores = indistinguishable_links(&lg, &dists);
+        let kk = scores
+            .iter()
+            .find(|s| s.user.0.min(s.neighbor.0) == 1 && s.user.0.max(s.neighbor.0) == 2)
+            .unwrap();
+        assert!(kk.variance.is_infinite(), "known–known link: {kk:?}");
+    }
+
+    #[test]
+    fn total_minus_own_scores_match_the_oracle_on_random_graphs() {
+        for seed in 0..6u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut b = GraphBuilder::new(Schema::uniform(4, 3));
+            let users: Vec<UserId> = (0..40)
+                .map(|_| {
+                    let row: Vec<Option<u16>> = (0..4)
+                        .map(|_| rng.gen_bool(0.8).then(|| rng.gen_range(0..3u16)))
+                        .collect();
+                    b.user_with_partial(&row)
+                })
+                .collect();
+            for _ in 0..120 {
+                let (x, y) = (rng.gen_range(0..40), rng.gen_range(0..40));
+                if x != y {
+                    b.edge(users[x], users[y]);
+                }
+            }
+            let g = b.build();
+            let known: Vec<bool> = (0..40).map(|_| rng.gen_bool(0.5)).collect();
+            let lg = LabeledGraph::new(&g, CategoryId(3), known);
+            let dists: Vec<Vec<f64>> = (0..40)
+                .map(|_| {
+                    let raw: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
+                    let z: f64 = raw.iter().sum();
+                    raw.iter().map(|x| x / z).collect()
+                })
+                .collect();
+            assert!(assert_matches_oracle(&lg, &dists) > 0, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn top_k_selection_equals_the_full_sort_prefix() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        // Heavy ties on variance, with ∞ and NaN in the mix; links are
+        // distinct, so `rank` is total.
+        let levels = [0.0, 0.25, 0.25, 0.5, f64::INFINITY, f64::NAN];
+        let mut scores: Vec<LinkScore> = Vec::new();
+        for a in 0..12 {
+            for b in (a + 1)..12 {
+                let (user, neighbor) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+                scores.push(LinkScore {
+                    user: UserId(user),
+                    neighbor: UserId(neighbor),
+                    variance: levels[rng.gen_range(0..levels.len())],
+                });
+            }
+        }
+        let mut sorted = scores.clone();
+        sorted.sort_by(rank);
+        for take in 0..=scores.len() {
+            let mut picked = scores.clone();
+            select_top(&mut picked, take);
+            let same = picked[..take]
+                .iter()
+                .zip(&sorted[..take])
+                .all(|(x, y)| rank(x, y) == Ordering::Equal);
+            assert!(same, "take = {take}");
+        }
+    }
 
     #[test]
     fn variance_zero_for_uniform() {

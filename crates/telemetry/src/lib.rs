@@ -463,8 +463,21 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// `budget_draw` tees into the process-global metrics registry under
+    /// fixed names (`budget.draws`, `budget.epsilon_spent`), so the tests
+    /// that draw take this lock with the one test that installs that
+    /// registry; otherwise a concurrent draw lands in its snapshot.
+    static DRAW_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn draw_lock() -> std::sync::MutexGuard<'static, ()> {
+        DRAW_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn disabled_paths_record_nothing() {
+        let _draws = draw_lock();
         // No scoped recorder on this thread; even if another test has a
         // recorder active, nothing here can observe our events — but the
         // cheap sanity check is that the calls simply run.
@@ -496,6 +509,7 @@ mod tests {
 
     #[test]
     fn scoped_recorder_captures_counters_and_values() {
+        let _draws = draw_lock();
         let rec = Recorder::new();
         {
             let _scope = rec.enter();
@@ -643,6 +657,7 @@ mod tests {
 
     #[test]
     fn primitives_forward_structured_events_to_trace_collectors() {
+        let _draws = draw_lock();
         use ppdp_trace::{Collector, TraceEvent};
         let rec = Recorder::new();
         let col = Collector::new();
@@ -711,6 +726,7 @@ mod tests {
 
     #[test]
     fn primitives_tee_into_live_metrics_registry() {
+        let _draws = draw_lock();
         // The only test in this binary that installs the process-global
         // metrics registry, so no cross-test interference on its names.
         let registry = ppdp_metrics::Registry::new();
