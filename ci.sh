@@ -34,11 +34,11 @@ if grep -qsE '/tmp/stubs|benchmark/stubs' .cargo/config.toml; then
   echo "      property tests are smoke-level (stub proptest, no"
   echo "      shrinking) and criterion bench numbers are not"
   echo "      comparable to real criterion runs."
-  # The checked-in linear golden snapshots were minted with the real
-  # rand crates; the stub RNG draws a different stream, so those four
+  # Four checked-in golden snapshots were minted with the real rand
+  # crates; the stub RNG draws a different stream, so those four
   # comparisons can never match here. Skip them loudly (the golden
   # tests print a SKIPPED notice per snapshot); every other golden —
-  # including the environment-minted bootstrapped log-domain snapshot —
+  # including the environment-minted bootstrapped log-kernel snapshots —
   # still compares byte-for-byte.
   export PPDP_SKIP_LINEAR_GOLDEN=1
   echo "      linear golden snapshots: SKIPPED (PPDP_SKIP_LINEAR_GOLDEN=1)"
@@ -109,12 +109,14 @@ echo "==> Chapter 3 link-removal experiment (table3.9)"
 cargo run -q --release -p ppdp-bench --bin experiments -- table3.9 >/dev/null
 
 # Kernel-equivalence gate: the log-domain (LSE) BP kernel must agree with
-# the linear kernel to 1e-9 on golden fixtures, make identical greedy
-# sanitize picks, stay bitwise across exec policies and checkpoint/resume
-# with warm arenas, and survive the adversarial fixtures (degree-1500 hub
-# traits, 10⁴-deep kin chains, near-zero factor tables) that underflow
-# the linear kernel.
-echo "==> differential kernel-equivalence suite (linear vs log domain)"
+# its oracles — the linear incremental engine to 1e-9 on golden fixtures
+# (identical greedy sanitize picks), exhaustive enumeration on forests,
+# and its scalar reference to 1e-12 — stay bitwise across exec policies,
+# tiles and checkpoint/resume with warm arenas, stay within its arena
+# byte budget, and survive the adversarial fixtures (degree-1500 hub
+# traits, 10⁴-deep kin chains, near-zero factor tables) that send the
+# linear engine unclean and publish onto the log kernel.
+echo "==> differential kernel-equivalence suite (log kernel vs oracles)"
 cargo test -q -p ppdp --test kernels
 
 # Arena-reuse gate: 50 back-to-back publishes on one publisher must show
@@ -212,19 +214,18 @@ cargo run -q --release -p ppdp-bench --bin ppdp-report -- \
 rm -f BENCH_SCALE.ci.json
 
 # Paper-extreme scale gate: the 10⁶-node graph row and the 10⁵-SNP genome
-# row (both message domains) must complete within a 3 GiB peak-RSS budget,
-# the log-domain row must converge with zero underflow repairs, it must
-# not need more sweeps than the linear row, and the blocked BP kernel must
-# beat the in-run scalar row (the pre-blocking kernel) by ≥ 1.5× wall
-# time on the genome_log row. The checked-in BENCH_SCALE.json baseline is
-# left untouched.
+# rows must complete within a 3 GiB peak-RSS budget, the genome rows must
+# converge with zero underflow repairs, and the blocked BP kernel must
+# beat the in-run scalar reference kernel by ≥ 1.5× wall time on the
+# genome_log row. The checked-in BENCH_SCALE.json baseline is left
+# untouched.
 echo "==> bench_scale 10⁶-node gate (gate profile, 3 GiB RSS, ≥1.5× blocked genome_log)"
 cargo run -q --release -p ppdp-bench --bin bench_scale -- \
   --profile gate --out BENCH_SCALE.gate.json \
   --max-peak-rss-bytes 3221225472 --min-speedup 1.5
 rm -f BENCH_SCALE.gate.json
 
-# Kernel hot-loop idiom lint: the blocked BP kernels must stay on
+# Kernel hot-loop idiom lint: the BP kernels must stay on
 # iterator/chunks_exact form — indexed `for i in 0..N` inner loops defeat
 # the bounds-check elision LLVM needs to vectorize them.
 echo "==> kernel vectorization lint (no indexed inner loops)"

@@ -9,8 +9,8 @@
 //! 1. generates the synthetic dataset once (GWAS catalog + genotype
 //!    panel, or a Table-3.3-shaped social graph scaled up),
 //! 2. runs the paper's inference kernel on it: sum-product BP for
-//!    genomes across the kernel-variant × threads grid (the `scalar`
-//!    baseline at one thread, the cache-blocked `blocked` kernels at
+//!    genomes across the kernel × threads grid (the scalar reference
+//!    kernel at one thread, the production cache-blocked kernel at
 //!    1/4/8 threads), and one single-chain Gibbs-sampling collective
 //!    classification run at one thread for graphs (a single chain has no
 //!    parallel work, so a thread axis would only re-measure it),
@@ -36,27 +36,22 @@
 //! `gate` runs only the extreme sizes under an optional peak-RSS budget
 //! (the ci.sh scale gate). `--min-speedup` demands that the fastest
 //! blocked row beat the single-thread scalar row by at least the given
-//! ratio at the largest `genome_log` size — the scalar row *is* the
-//! pre-blocking kernel, so the ratio gates the blocked/vectorized path
-//! against the old baseline on the same machine and dataset, with no
-//! wall-clock portability assumptions.
+//! ratio at the largest genome size — the scalar row is the reference
+//! kernel (`BpConfig::run_reference`), so the ratio gates the
+//! blocked/vectorized path against it on the same machine and dataset,
+//! with no wall-clock portability assumptions.
 //!
-//! Genome sizes run under both message domains (`genome` rows are the
-//! linear kernel, `genome_log` rows the log-sum-exp kernel). The harness
-//! fails if a log row converges slower than its linear sibling, fails to
-//! converge, or reports any `bp.renormalized` underflow repairs — at
-//! paper scale the catalog's degree-2000 hub traits underflow the linear
-//! kernel (visible in the `renormalized` column), and the log kernel is
-//! the row that must stay exact. Rows of the same dataset and variant
-//! must agree digest-for-digest across thread counts, and the linear
-//! `blocked` rows must reproduce the `scalar` digest bit-for-bit.
+//! Genome rows (`genome_log`) run the log-domain BP kernels. The harness
+//! fails if one fails to converge or reports any `bp.renormalized`
+//! repair — at paper scale the catalog's degree-2000 hub traits would
+//! underflow linear-domain messages, and the log kernels must stay
+//! exact. Rows of the same dataset and variant must agree
+//! digest-for-digest across thread counts.
 
 use ppdp::classify::{gibbs_run, GibbsConfig, LabeledGraph};
 use ppdp::datagen::social::{generate, SocialConfig};
 use ppdp::exec::ExecPolicy;
-use ppdp::genomic::{
-    BpConfig, Evidence, FactorGraph, Genotype, KernelVariant, MessageDomain, SnpId, TraitId,
-};
+use ppdp::genomic::{BpConfig, Evidence, FactorGraph, Genotype, SnpId, TraitId};
 use ppdp::metrics::alloc::CountingAlloc;
 use ppdp::metrics::{http, LiveMetrics};
 use rand::Rng;
@@ -73,11 +68,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// panels where most of a 10⁵-locus array carries no association for any
 /// given trait; past the cap the *trait list* grows instead
 /// (`scaled_catalog`), so the factor count keeps scaling with the pool.
-/// The cap also bounds the trait-side message product (quadratic in trait
-/// degree). Recorded in every genome row as `assoc_cap`.
+/// The cap is also the hub-trait degree, well past the ≈ 1100 where
+/// linear-domain messages underflow. Recorded in every genome row as
+/// `assoc_cap`.
 const ASSOC_CAP: usize = 2_000;
 
-/// The kernel-variant × threads grid every genome dataset is swept under.
+/// The kernel × threads grid every genome dataset is swept under.
 const GRID: [(&str, usize); 4] = [
     ("scalar", 1),
     ("blocked", 1),
@@ -91,9 +87,9 @@ struct Row {
     size: usize,
     /// Factor count (genomes) or edge count (graphs).
     structure: usize,
-    /// Kernel variant: `scalar` (the pre-blocking BP baseline) or
-    /// `blocked` for genome rows, `scan` (the sequential Gibbs sampler)
-    /// for graph rows.
+    /// Kernel: `scalar` (the reference BP kernel) or `blocked` (the
+    /// production kernel) for genome rows, `scan` (the sequential Gibbs
+    /// sampler) for graph rows.
     variant: &'static str,
     /// Worker threads the inference ran under (dataset generation is
     /// shared across the grid and always sequential).
@@ -110,9 +106,9 @@ struct Row {
     /// BP sweeps or Gibbs sweeps actually performed.
     work_units: usize,
     converged: bool,
-    /// `bp.renormalized` underflow repairs during the run. The linear
-    /// kernel pays these at hub-trait sizes; the log kernel must report
-    /// zero. Graph rows (Gibbs, no message products) are always zero.
+    /// `bp.renormalized` repairs during the run; the log kernels must
+    /// report zero. Graph rows (Gibbs, no message products) are always
+    /// zero.
     renormalized: u64,
     rss_bytes: u64,
     peak_rss_bytes: u64,
@@ -152,32 +148,29 @@ fn exec_for(threads: usize) -> ExecPolicy {
 }
 
 /// One BP run over a pre-built factor graph; the dataset is shared by the
-/// whole variant × threads grid, so rows differ only in the kernel path.
+/// whole kernel × threads grid, so rows differ only in the kernel path.
 fn genome_row(
     graph: &FactorGraph,
     n_snps: usize,
     structure: usize,
     gen_wall_ns: u128,
-    domain: MessageDomain,
     variant: &'static str,
     threads: usize,
 ) -> Row {
     let _span = ppdp::telemetry::span("scale.genome");
     let (bytes0, count0, _) = alloc_totals();
-    let kernel = match variant {
-        "scalar" => KernelVariant::Scalar,
-        _ => KernelVariant::Blocked,
-    };
     let recorder = ppdp::telemetry::Recorder::new();
     let scope = recorder.enter();
     let start = Instant::now();
-    let bp = BpConfig {
+    let cfg = BpConfig {
         exec: exec_for(threads),
-        domain,
-        variant: kernel,
         ..Default::default()
-    }
-    .run(graph);
+    };
+    let bp = if variant == "scalar" {
+        cfg.run_reference(graph)
+    } else {
+        cfg.run(graph)
+    };
     let wall_ns = start.elapsed().as_nanos();
     drop(scope);
     let renormalized = recorder.take().counter("bp.renormalized");
@@ -195,19 +188,12 @@ fn genome_row(
     let (bytes1, count1, peak_live) = alloc_totals();
     let (rss, peak_rss) = resource();
     Row {
-        kind: match domain {
-            MessageDomain::Linear => "genome",
-            MessageDomain::Log => "genome_log",
-        },
+        kind: "genome_log",
         size: n_snps,
         structure,
         variant,
         threads,
-        tile: if kernel == KernelVariant::Blocked {
-            4096
-        } else {
-            0
-        },
+        tile: if variant == "scalar" { 0 } else { 4096 },
         assoc_cap: ASSOC_CAP,
         digest: format!("{h:016x}"),
         gen_wall_ns,
@@ -425,7 +411,7 @@ fn main() {
             &[25_000, 100_000, 250_000, 1_000_000],
         ),
         // CI regression gate at the paper's extreme sizes only: the
-        // 10⁵-SNP genome (both message domains) and the 10⁶-node graph,
+        // 10⁵-SNP genome and the 10⁶-node graph,
         // typically bounded by --max-peak-rss-bytes and --min-speedup.
         "gate" => (&[100_000], &[1_000_000]),
         other => usage(&format!("unknown profile {other} (want ci|paper|gate)")),
@@ -464,26 +450,21 @@ fn main() {
         };
         let structure = catalog.associations().len();
         let gen_wall_ns = gen_start.elapsed().as_nanos();
-        for domain in [MessageDomain::Linear, MessageDomain::Log] {
-            for (variant, threads) in GRID {
-                eprintln!(
-                    "bench_scale: genome sweep at {n} SNPs ({domain:?}, {variant}@{threads}) …"
-                );
-                rows.push(genome_row(
-                    &graph,
-                    n,
-                    structure,
-                    gen_wall_ns,
-                    domain,
-                    variant,
-                    threads,
-                ));
-                if probe.is_none() {
-                    // Mid-run on purpose: the registry must already carry
-                    // the BP round gauge and span attribution while work
-                    // continues.
-                    probe = Some(self_scrape(&addr));
-                }
+        for (variant, threads) in GRID {
+            eprintln!("bench_scale: genome sweep at {n} SNPs ({variant}@{threads}) …");
+            rows.push(genome_row(
+                &graph,
+                n,
+                structure,
+                gen_wall_ns,
+                variant,
+                threads,
+            ));
+            if probe.is_none() {
+                // Mid-run on purpose: the registry must already carry the
+                // BP round gauge and span attribution while work
+                // continues.
+                probe = Some(self_scrape(&addr));
             }
         }
     }
@@ -544,11 +525,11 @@ fn main() {
             }
         }
     }
-    // Determinism gates, checkable from the digests alone: within one
+    // Determinism gate, checkable from the digests alone: within one
     // (dataset, variant) group every thread count must produce the same
-    // artifact bit-for-bit, and the *linear* blocked kernel must
-    // reproduce the scalar kernel exactly (the log kernel's lane
-    // reassociation is ≤ 1e-12 but not bitwise).
+    // artifact bit-for-bit (the blocked kernel's lane reassociation puts
+    // it ≤ 1e-12 from the scalar reference, not bitwise, so variants are
+    // compared separately).
     for r in &rows {
         if let Some(first) = rows
             .iter()
@@ -564,28 +545,11 @@ fn main() {
             }
         }
     }
-    for r in rows.iter().filter(|r| r.kind == "genome") {
-        if let Some(scalar) = rows
-            .iter()
-            .find(|o| o.kind == r.kind && o.size == r.size && o.variant == "scalar")
-        {
-            if scalar.digest != r.digest {
-                eprintln!(
-                    "GATE FAIL: linear blocked kernel at {} SNPs drifted from scalar \
-                     ({} vs {})",
-                    r.size, r.digest, scalar.digest
-                );
-                failed = true;
-            }
-        }
-    }
-    // Kernel-health gates. Sweep counts are NOT required to match across
-    // domains: paper-scale catalogs carry degree-2000 hub traits whose
-    // cavity product underflows the linear kernel, which then burns extra
-    // sweeps on per-message underflow repair (the `renormalized` column
-    // counts them). The log kernel must instead be repair-free at every
-    // size — one nonzero `bp.renormalized` in a genome_log row means the
-    // LSE path lost mass and fell back to linear-style clamping.
+    // Kernel-health gates: paper-scale catalogs carry degree-2000 hub
+    // traits whose message product underflows linear-domain messages. The
+    // log kernels must be repair-free and converge at every size — one
+    // nonzero `bp.renormalized` in a genome_log row means the LSE path
+    // lost mass.
     for r in rows.iter().filter(|r| r.kind == "genome_log") {
         if r.renormalized != 0 {
             eprintln!(
@@ -601,21 +565,9 @@ fn main() {
             );
             failed = true;
         }
-        if let Some(lin) = rows
-            .iter()
-            .find(|l| l.kind == "genome" && l.size == r.size && l.variant == r.variant)
-        {
-            if r.work_units > lin.work_units {
-                eprintln!(
-                    "GATE FAIL: log kernel needed {} sweeps vs linear {} at {} SNPs",
-                    r.work_units, lin.work_units, r.size
-                );
-                failed = true;
-            }
-        }
     }
     // Speedup gate: on the largest genome_log dataset, the fastest
-    // blocked row must beat the single-thread scalar row (the pre-blocking
+    // blocked row must beat the single-thread scalar row (the reference
     // kernel, measured in the same process on the same dataset) by the
     // requested ratio.
     if let Some(ratio) = min_speedup {

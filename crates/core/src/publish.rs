@@ -11,7 +11,7 @@ use ppdp_genomic::sanitize::{
     greedy_sanitize_checkpointed, greedy_sanitize_incremental, greedy_sanitize_with,
     sanitize_checkpoint_key, Predictor, SanitizeOutcome, Target,
 };
-use ppdp_genomic::{BpConfig, Evidence, GwasCatalog, MessageDomain};
+use ppdp_genomic::{BpConfig, Evidence, GwasCatalog};
 use ppdp_graph::SocialGraph;
 use ppdp_sanitize::{collective_sanitize, remove_indistinguishable_links_with, CollectivePlan};
 use ppdp_telemetry::{Recorder, RunReport};
@@ -422,11 +422,12 @@ impl<'c> GenomePublisher<'c> {
         self
     }
 
-    /// Overrides the belief-propagation attacker configuration — most
-    /// usefully the [`ppdp_genomic::MessageDomain`]: dense hub traits
-    /// (degree ≳ 1000) underflow the linear kernel to prior-fallback
-    /// marginals, while `MessageDomain::Log` stays finite and keeps the
-    /// sanitizer's privacy estimates meaningful.
+    /// Overrides the belief-propagation attacker configuration: the
+    /// iteration budget and tolerance, damping, restart ladder and tile
+    /// size. The greedy search runs on the incremental engine under the
+    /// scheduling fields of `cfg`; graphs that engine cannot represent
+    /// (hub traits of degree ≳ 1100) run on [`BpConfig::run`] under all of
+    /// them.
     pub fn bp_config(mut self, cfg: BpConfig) -> Self {
         self.predictor = Predictor::BeliefPropagation(cfg);
         self
@@ -466,17 +467,18 @@ impl<'c> GenomePublisher<'c> {
     /// returns the evidence actually safe to release, the greedy outcome,
     /// and the telemetry of the run (BP sweeps, removals, timings).
     ///
-    /// Against the default linear-domain BP attacker the greedy search
-    /// runs on the incremental BP engine, the path
-    /// [`GenomePublisher::publish_resumable`] takes without a journal: the
-    /// factor graph and the attacker's baseline are built once, each
-    /// candidate probe is a journaled trial that is rolled back, and the
-    /// search stops before the first round after every target reaches
-    /// `δ`. The picks are those of
+    /// Against the BP attacker the greedy search runs on the incremental
+    /// BP engine, the path [`GenomePublisher::publish_resumable`] takes
+    /// without a journal: the factor graph and the attacker's baseline are
+    /// built once, each candidate probe is a journaled trial that is
+    /// rolled back, and the search stops before the first round after
+    /// every target reaches `δ`. The picks are those of
     /// [`ppdp_genomic::greedy_sanitize_with`]; privacy levels agree with
-    /// it to within the BP tolerance. The Naive Bayes attacker and a
-    /// [`MessageDomain::Log`] attacker (the engine's arenas are
-    /// linear-only) run on `greedy_sanitize_with` itself.
+    /// it to within the BP tolerance. The engine's messages are
+    /// linear-domain; when they need repair (a hub whose message product
+    /// underflows), the search reruns as `greedy_sanitize_with` on the
+    /// log-domain kernel and the outcome is that function's, bit for bit.
+    /// The Naive Bayes attacker always runs on `greedy_sanitize_with`.
     ///
     /// Back-to-back publishes on one thread reuse the thread-local BP
     /// message arenas ([`ppdp_genomic::BpScratch`]) of the baseline
@@ -490,11 +492,7 @@ impl<'c> GenomePublisher<'c> {
     /// threshold that is not finite.
     pub fn publish(&self, evidence: &Evidence, targets: &[Target]) -> Result<GenomeReport> {
         self.sanitize_and_seal(evidence, targets, || match self.predictor {
-            Predictor::NaiveBayes
-            | Predictor::BeliefPropagation(BpConfig {
-                domain: MessageDomain::Log,
-                ..
-            }) => greedy_sanitize_with(
+            Predictor::NaiveBayes => greedy_sanitize_with(
                 self.exec,
                 self.catalog,
                 evidence,
@@ -522,8 +520,7 @@ impl<'c> GenomePublisher<'c> {
     /// The resumed report is bitwise identical to an uninterrupted run —
     /// the journal replays through the same `commit` path the solver uses,
     /// and trial rollback in the incremental BP engine is exact. A run on
-    /// a fresh store returns the same report as `publish` (linear-domain
-    /// BP attacker).
+    /// a fresh store returns the same report as `publish` (BP attacker).
     ///
     /// A journal written for *different* inputs (catalog, evidence,
     /// targets, δ, or removal cap) never matches the checkpoint key and
@@ -535,9 +532,9 @@ impl<'c> GenomePublisher<'c> {
     ///
     /// # Errors
     /// As [`GenomePublisher::publish`], plus [`ppdp_errors::PpdpError::InvalidInput`]
-    /// when the configured predictor is Naive Bayes or a
-    /// [`MessageDomain::Log`] BP attacker — only the incremental BP
-    /// sanitizer journals its picks, and its arenas are linear-only.
+    /// when the configured predictor is Naive Bayes, or when the graph
+    /// needs the log-domain fallback — only the incremental BP sanitizer
+    /// journals its picks.
     pub fn publish_resumable(
         &self,
         evidence: &Evidence,
@@ -948,13 +945,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ppdp-core-resume-nb-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = ppdp_durable::CheckpointStore::open(&dir).unwrap();
-        let log = BpConfig {
-            domain: MessageDomain::Log,
-            ..Default::default()
-        };
+        // A degree-1200 hub underflows the incremental engine's linear
+        // messages; its log-domain fallback has no pick journal either.
+        let mut hub = GwasCatalog::new(1200);
+        let t = hub.add_trait("hub", 0.3);
+        for s in 0..1200 {
+            hub.associate(
+                ppdp_genomic::SnpId(s),
+                t,
+                1.2 + 0.3 * (s % 7) as f64 / 7.0,
+                0.2,
+            );
+        }
         for publisher in [
             GenomePublisher::new(&catalog, 0.6).against_naive_bayes(),
-            GenomePublisher::new(&catalog, 0.6).bp_config(log),
+            GenomePublisher::new(&hub, 0.6),
         ] {
             let err = publisher
                 .publish_resumable(

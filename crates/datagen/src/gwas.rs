@@ -90,8 +90,7 @@ fn associate_chain(
 /// * `n_traits = max(7, ⌈0.7·n_snps / cap⌉)` — once the cap binds, extra
 ///   synthetic traits keep ≈ 70 % of the pool catalogued, so the factor
 ///   count stays proportional to `n_snps` at every size while per-trait
-///   degree (and the quadratic trait-side message product) stays bounded
-///   by `cap`.
+///   degree stays bounded by `cap`.
 ///
 /// Below the cap the parameters coincide with
 /// `synthetic_catalog(n_snps, n_snps / 10, shared, seed)`. The first seven

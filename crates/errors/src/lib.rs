@@ -140,7 +140,11 @@ impl std::error::Error for PpdpError {}
 /// Used for prevalences, risk-allele frequencies and CPT entries that the
 /// genomic model later feeds through odds-ratio algebra (where 0 and 1 are
 /// degenerate).
-pub fn ensure_unit_open(name: &str, v: f64) -> Result<()> {
+///
+/// `name` is formatted only when the check fails, so hot validation
+/// loops can pass `format_args!(…)` and pay nothing on success. The same
+/// holds for every check below.
+pub fn ensure_unit_open(name: impl fmt::Display, v: f64) -> Result<()> {
     if v.is_finite() && v > 0.0 && v < 1.0 {
         Ok(())
     } else {
@@ -151,7 +155,7 @@ pub fn ensure_unit_open(name: &str, v: f64) -> Result<()> {
 }
 
 /// Check that `v` is a finite probability in the **closed** interval `[0, 1]`.
-pub fn ensure_unit_closed(name: &str, v: f64) -> Result<()> {
+pub fn ensure_unit_closed(name: impl fmt::Display, v: f64) -> Result<()> {
     if v.is_finite() && (0.0..=1.0).contains(&v) {
         Ok(())
     } else {
@@ -162,7 +166,7 @@ pub fn ensure_unit_closed(name: &str, v: f64) -> Result<()> {
 }
 
 /// Check that `v` is finite and strictly positive (odds ratios, ε, δ).
-pub fn ensure_positive(name: &str, v: f64) -> Result<()> {
+pub fn ensure_positive(name: impl fmt::Display, v: f64) -> Result<()> {
     if v.is_finite() && v > 0.0 {
         Ok(())
     } else {
@@ -173,7 +177,7 @@ pub fn ensure_positive(name: &str, v: f64) -> Result<()> {
 }
 
 /// Check that `v` is finite (neither NaN nor ±Inf).
-pub fn ensure_finite(name: &str, v: f64) -> Result<()> {
+pub fn ensure_finite(name: impl fmt::Display, v: f64) -> Result<()> {
     if v.is_finite() {
         Ok(())
     } else {
@@ -182,11 +186,11 @@ pub fn ensure_finite(name: &str, v: f64) -> Result<()> {
 }
 
 /// Check an arbitrary boundary condition, reporting `context` on failure.
-pub fn ensure(cond: bool, context: impl Into<String>) -> Result<()> {
+pub fn ensure(cond: bool, context: impl fmt::Display) -> Result<()> {
     if cond {
         Ok(())
     } else {
-        Err(PpdpError::invalid_input(context))
+        Err(PpdpError::invalid_input(context.to_string()))
     }
 }
 
@@ -216,6 +220,21 @@ mod tests {
         assert!(ensure_positive("epsilon", 1.0).is_ok());
         assert!(ensure_positive("epsilon", 0.0).is_err());
         assert!(ensure_positive("epsilon", f64::INFINITY).is_err());
+    }
+
+    #[test]
+    fn lazy_context_formats_only_on_failure() {
+        struct Panics;
+        impl fmt::Display for Panics {
+            fn fmt(&self, _: &mut fmt::Formatter<'_>) -> fmt::Result {
+                panic!("a passing check formatted its message")
+            }
+        }
+        assert!(ensure(true, Panics).is_ok());
+        assert!(ensure_unit_open(Panics, 0.5).is_ok());
+        assert!(ensure_positive(Panics, 2.0).is_ok());
+        let e = ensure(false, format_args!("record {} bad", 7)).unwrap_err();
+        assert_eq!(e.to_string(), "invalid input: record 7 bad");
     }
 
     #[test]

@@ -2,26 +2,32 @@
 //! linear-complexity inference attack of §5.4 (Eqs. 5.3-5.6).
 //!
 //! Messages are exchanged between variable nodes and factor nodes until the
-//! marginals converge; every message is normalized, so long chains stay
-//! numerically stable. On forests (like Fig. 5.1) the result is the exact
-//! marginal of the Eq. (5.2) factorization, which the test-suite checks
-//! against [`crate::exhaustive`].
+//! marginals converge. They are stored and combined in log space by the
+//! kernels of [`crate::kernels`], so the incoming-message product at a hub
+//! variable of degree ≳ 1000 — which underflows to exact zero in linear
+//! probability space — stays representable. On forests (like Fig. 5.1) the
+//! result is the exact marginal of the Eq. (5.2) factorization, which the
+//! test-suite checks against [`crate::exhaustive`]. The warm-started
+//! engine behind greedy sanitization, [`crate::IncrementalBp`], keeps its
+//! own linear-domain messages.
 //!
 //! # Robustness
 //!
-//! BP never panics and never returns NaN. Every message is checked *before*
-//! normalization: a NaN/Inf/negative component or an underflowed (all-zero)
-//! message — the signature of a poisoned factor table or contradictory
-//! evidence — is repaired to uniform (counted as `bp.renormalized`) and the
-//! attempt is marked unclean. Unclean or non-converging attempts restart
-//! from fresh messages with escalated damping (a bounded ladder of
-//! [`BpConfig::max_restarts`] extra attempts, counted as `bp.restarts`).
-//! If every attempt stays unclean the run degrades to prior-only marginals
-//! (evidence still honoured), sets [`BpResult::degraded`], and records a
-//! `degraded.bp.prior_fallback` telemetry event.
+//! BP never panics and never returns NaN. Factor tables and priors are
+//! screened before the first sweep, and every message is checked as it is
+//! normalized: a NaN/Inf/negative table entry, an all-zero table or a
+//! non-finite normalizer — the signature of a poisoned factor table or
+//! contradictory evidence — is repaired to uniform (counted as
+//! `bp.renormalized`) and the attempt is marked unclean. Unclean or
+//! non-converging attempts restart from fresh messages with escalated
+//! damping (a bounded ladder of [`BpConfig::max_restarts`] extra attempts,
+//! counted as `bp.restarts`). If every attempt stays unclean the run
+//! degrades to prior-only marginals (evidence still honoured), sets
+//! [`BpResult::degraded`], and records a `degraded.bp.prior_fallback`
+//! telemetry event.
 
 use crate::factor_graph::FactorGraph;
-use crate::kernels::{self, BpScratch, KernelVariant, MessageDomain};
+use crate::kernels::{self, BpScratch};
 use ppdp_exec::ExecPolicy;
 
 /// Minimum factor count (association + kin) before a `Parallel` policy
@@ -36,7 +42,8 @@ pub(crate) const PAR_MIN_FACTORS: usize = 32;
 pub struct BpConfig {
     /// Maximum message-passing iterations *per attempt*.
     pub max_iters: usize,
-    /// Convergence tolerance on the max absolute message change.
+    /// Convergence tolerance on the max absolute message change
+    /// (probability-space components).
     pub tol: f64,
     /// Damping factor in `[0, 1)`: `new = damping·old + (1−damping)·fresh`.
     /// 0 disables damping; positive values help on loopy graphs.
@@ -48,23 +55,11 @@ pub struct BpConfig {
     pub max_restarts: usize,
     /// How to schedule the per-factor message stages. The policy never
     /// changes the marginals: sweeps fan out over pure per-factor closures
-    /// whose results are folded in factor order, so `Sequential` and any
+    /// that each write only their own slot, so `Sequential` and any
     /// `Parallel { threads }` produce bitwise-identical messages.
     pub exec: ExecPolicy,
-    /// Numeric domain for message storage: [`MessageDomain::Linear`]
-    /// (default, historical kernel, exact zeros) or
-    /// [`MessageDomain::Log`] (underflow-immune log-sum-exp kernel, see
-    /// [`crate::kernels`]). Both iterate the same fixed point and agree
-    /// to within the convergence tolerance; both are policy-bitwise.
-    pub domain: MessageDomain,
-    /// Inner-loop implementation: [`KernelVariant::Blocked`] (default;
-    /// lane-batched SoA kernels, tiled scheduling) or
-    /// [`KernelVariant::Scalar`] (the historical reference kernels).
-    /// Linear-domain results are bitwise-identical between the two;
-    /// log-domain results agree to ≲1e-12 per lane.
-    pub variant: KernelVariant,
-    /// Cache-tile size (items per scheduling block) for the blocked
-    /// kernels; `None` uses the built-in L2-sized default. Results are
+    /// Cache-tile size (items per scheduling block) of the message
+    /// sweeps; `None` uses the built-in L2-sized default. Results are
     /// bitwise-invariant in this knob — it exists for cache tuning and
     /// for the tile-boundary differential tests.
     pub tile: Option<usize>,
@@ -78,8 +73,6 @@ impl Default for BpConfig {
             damping: 0.0,
             max_restarts: 2,
             exec: ExecPolicy::Sequential,
-            domain: MessageDomain::default(),
-            variant: KernelVariant::default(),
             tile: None,
         }
     }
@@ -110,9 +103,8 @@ pub struct BpResult {
     pub degraded: bool,
 }
 
-/// Outcome of one damping attempt (shared with the log-domain kernel in
-/// [`crate::kernels`], which produces the same shape from its own sweep
-/// loop).
+/// Outcome of one damping attempt, as produced by a kernel in
+/// [`crate::kernels`].
 pub(crate) struct Attempt {
     pub(crate) snp_marginals: Vec<[f64; 3]>,
     pub(crate) trait_marginals: Vec<[f64; 2]>,
@@ -121,6 +113,9 @@ pub(crate) struct Attempt {
     pub(crate) final_residual: f64,
     pub(crate) clean: bool,
 }
+
+/// One damping attempt of a kernel: `(config, graph, damping, arenas)`.
+type Kernel = fn(&BpConfig, &FactorGraph, f64, &mut BpScratch) -> Attempt;
 
 impl BpConfig {
     /// Runs sum-product BP on `g` and returns all posterior marginals.
@@ -140,48 +135,37 @@ impl BpConfig {
     /// this entry point exists for callers that manage scratch
     /// lifetimes themselves.
     pub fn run_with_scratch(&self, g: &FactorGraph, scratch: &mut BpScratch) -> BpResult {
-        let _span = ppdp_telemetry::span("bp.run");
         // Warm-arena accounting for the allocation-flatness gate: a
         // metrics (not telemetry) counter, because worker threads have
         // their own cold scratch and per-policy telemetry must stay
         // equivalent.
         ppdp_metrics::counter(
-            if scratch.is_warm(
-                self.domain,
-                self.variant,
-                g.factors.len(),
-                g.kin_factors.len(),
-            ) {
+            if scratch.is_warm(g.factors.len(), g.kin_factors.len()) {
                 "exec.arena.reused"
             } else {
                 "exec.arena.grown"
             },
             1,
         );
-        if self.domain == MessageDomain::Log {
-            scratch.prepare_log(g);
-        }
-        // Node potentials: evidence clamps to an indicator, otherwise SNPs
-        // are flat (their distribution is induced by the factors) and traits
-        // carry their prevalence prior.
-        let snp_pot: Vec<[f64; 3]> = g
-            .snp_evidence
-            .iter()
-            .map(|ev| match ev {
-                Some(i) => indicator3(*i),
-                None => [1.0; 3],
-            })
-            .collect();
-        let trait_pot: Vec<[f64; 2]> = g
-            .trait_evidence
-            .iter()
-            .enumerate()
-            .map(|(t, ev)| match ev {
-                Some(true) => [0.0, 1.0],
-                Some(false) => [1.0, 0.0],
-                None => g.trait_prior[t],
-            })
-            .collect();
+        self.run_kernel(g, scratch, kernels::attempt)
+    }
+
+    /// [`BpConfig::run`] on the scalar reference kernel: the same fixed
+    /// point, restart ladder and telemetry, computed with per-factor
+    /// log-sum-exp updates and sequential gathers. Marginals agree with
+    /// `run` to ≲1e-12 per lane. Exists as the differential oracle of
+    /// the production kernel (`tests/kernels.rs`) and as the baseline of
+    /// `bench_scale`'s speedup gate.
+    #[doc(hidden)]
+    pub fn run_reference(&self, g: &FactorGraph) -> BpResult {
+        kernels::with_scratch(|scratch| self.run_kernel(g, scratch, kernels::reference_attempt))
+    }
+
+    /// The restart ladder around one kernel, plus the prior-only
+    /// fallback and run-level telemetry.
+    fn run_kernel(&self, g: &FactorGraph, scratch: &mut BpScratch, kernel: Kernel) -> BpResult {
+        let _span = ppdp_telemetry::span("bp.run");
+        scratch.prepare(g);
 
         // Damping ladder: the configured value first, then the escalations
         // that actually increase it, capped at `max_restarts` extras.
@@ -201,20 +185,7 @@ impl BpConfig {
         let mut best: Option<Attempt> = None;
         for &damping in &ladder {
             attempts_run += 1;
-            let a = match (self.domain, self.variant) {
-                (MessageDomain::Linear, KernelVariant::Scalar) => {
-                    self.attempt(g, damping, &snp_pot, &trait_pot, scratch)
-                }
-                (MessageDomain::Linear, KernelVariant::Blocked) => {
-                    self.attempt_blocked(g, damping, &snp_pot, &trait_pot, scratch)
-                }
-                (MessageDomain::Log, KernelVariant::Scalar) => {
-                    kernels::log_attempt(self, g, damping, scratch)
-                }
-                (MessageDomain::Log, KernelVariant::Blocked) => {
-                    kernels::log_attempt_blocked(self, g, damping, scratch)
-                }
-            };
+            let a = kernel(self, g, damping, scratch);
             total_sweeps += a.sweeps;
             last_residual = a.final_residual;
             let accepted = a.clean && a.converged;
@@ -248,11 +219,23 @@ impl BpConfig {
                 // catalog at build time), so these are always finite and
                 // normalized.
                 ppdp_telemetry::degradation("bp", "prior_fallback");
-                let mut ignored = true;
-                let snp_marginals = snp_pot.iter().map(|p| checked3(*p, &mut ignored)).collect();
-                let trait_marginals = trait_pot
+                let snp_marginals = g
+                    .snp_evidence
                     .iter()
-                    .map(|p| checked2(*p, &mut ignored))
+                    .map(|ev| ev.map_or([1.0 / 3.0; 3], indicator3))
+                    .collect();
+                let trait_marginals = g
+                    .trait_evidence
+                    .iter()
+                    .zip(&g.trait_prior)
+                    .map(|(ev, p)| match ev {
+                        Some(true) => [0.0, 1.0],
+                        Some(false) => [1.0, 0.0],
+                        None => {
+                            let z = p[0] + p[1];
+                            [p[0] / z, p[1] / z]
+                        }
+                    })
                     .collect();
                 BpResult {
                     snp_marginals,
@@ -275,566 +258,11 @@ impl BpConfig {
         );
         result
     }
-
-    /// One full message-passing attempt from fresh messages at a given
-    /// damping. Stops early on convergence or on detected corruption.
-    fn attempt(
-        &self,
-        g: &FactorGraph,
-        damping: f64,
-        snp_pot: &[[f64; 3]],
-        trait_pot: &[[f64; 2]],
-        scratch: &mut BpScratch,
-    ) -> Attempt {
-        let nf = g.factors.len();
-        let nk = g.kin_factors.len();
-        let exec = if nf + nk >= PAR_MIN_FACTORS {
-            self.exec
-        } else {
-            ExecPolicy::Sequential
-        };
-        // Arena-backed messages: `clear` + `resize` re-initializes every
-        // element to exactly the fresh-run value without releasing
-        // capacity, so the numbers are bit-identical to the historical
-        // per-attempt `vec![…]` allocations while repeated runs on a
-        // warm scratch allocate nothing.
-        let f2s = &mut scratch.lin_f2s;
-        f2s.clear();
-        f2s.resize(nf, [1.0f64; 3]);
-        let f2t = &mut scratch.lin_f2t;
-        f2t.clear();
-        f2t.resize(nf, [1.0f64; 2]);
-        // Kin-factor → SNP messages, one per (factor, side): side 0 = to the
-        // parent variable, side 1 = to the child variable.
-        let k2s = &mut scratch.lin_k2s;
-        k2s.clear();
-        k2s.resize(nk, [[1.0f64; 3]; 2]);
-        let mut sweeps = 0;
-        let mut converged = false;
-        let mut final_residual = f64::INFINITY;
-        let mut clean = true;
-        // Live convergence monitor: flags stalled/oscillating/diverging
-        // residual trajectories as `watchdog.bp.*` counters and trace
-        // events without ever changing the iteration itself.
-        let mut watchdog =
-            ppdp_trace::ConvergenceWatchdog::new(ppdp_trace::WatchdogConfig::with_tol(self.tol));
-
-        // Incoming product at SNP `s` excluding one association factor
-        // (`skip_f`) or one kin-factor side (`skip_k`).
-        let incoming = |s: usize,
-                        skip_f: Option<usize>,
-                        skip_k: Option<usize>,
-                        f2s: &[[f64; 3]],
-                        k2s: &[[[f64; 3]; 2]],
-                        pot: &[f64; 3]|
-         -> [f64; 3] {
-            let mut msg = *pot;
-            for &f2 in g.snp_factor_ids(s) {
-                let f2 = f2 as usize;
-                if Some(f2) != skip_f {
-                    for (m, l) in msg.iter_mut().zip(&f2s[f2]) {
-                        *m *= l;
-                    }
-                }
-            }
-            for &k in g.snp_kin_ids(s) {
-                let k = k as usize;
-                if Some(k) != skip_k {
-                    let side = if g.kin_factors[k].parent == s { 0 } else { 1 };
-                    for (m, l) in msg.iter_mut().zip(&k2s[k][side]) {
-                        *m *= l;
-                    }
-                }
-            }
-            msg
-        };
-
-        // Live progress: the metrics heartbeat derives progress./eta from
-        // the bp.round gauge against this declared ceiling. max_iters is
-        // an upper bound (convergence exits early), so ETA is pessimistic.
-        ppdp_telemetry::target("bp.rounds", self.max_iters as f64);
-        for iter in 0..self.max_iters {
-            sweeps = iter + 1;
-            // Variable → factor messages (Eqs. 5.3/5.4): product of incoming
-            // factor messages excluding the destination factor. Each factor
-            // touches exactly one SNP, so the stage is per-factor
-            // independent and safe to fan out.
-            let s2f = fold_flag(
-                exec.par_map(nf, |f| {
-                    let s = g.factors[f].snp;
-                    checked3_flag(incoming(s, Some(f), None, f2s, k2s, &snp_pot[s]))
-                }),
-                &mut clean,
-            );
-            // Variable → kin-factor messages (parent side index 0, child 1).
-            let s2k = fold_flag(
-                exec.par_map(nk, |k| {
-                    let kf = &g.kin_factors[k];
-                    let (to_parent_side, ok_p) = checked3_flag(incoming(
-                        kf.parent,
-                        None,
-                        Some(k),
-                        f2s,
-                        k2s,
-                        &snp_pot[kf.parent],
-                    ));
-                    let (to_child_side, ok_c) = checked3_flag(incoming(
-                        kf.child,
-                        None,
-                        Some(k),
-                        f2s,
-                        k2s,
-                        &snp_pot[kf.child],
-                    ));
-                    ([to_parent_side, to_child_side], ok_p && ok_c)
-                }),
-                &mut clean,
-            );
-            let t2f = fold_flag(
-                exec.par_map(nf, |f| {
-                    let t = g.factors[f].trait_idx;
-                    let mut msg = trait_pot[t];
-                    for &f2 in g.trait_factor_ids(t) {
-                        let f2 = f2 as usize;
-                        if f2 != f {
-                            for (m, l) in msg.iter_mut().zip(&f2t[f2]) {
-                                *m *= l;
-                            }
-                        }
-                    }
-                    checked2_flag(msg)
-                }),
-                &mut clean,
-            );
-
-            // Factor → variable messages (Eqs. 5.5/5.6). Each factor's
-            // update reads only its own old messages, so the stage fans
-            // out per factor; the residual folds with `max`, which is
-            // order-independent.
-            let mut delta = 0.0f64;
-            let factor_updates = exec.par_map(nf, |f| {
-                let fac = &g.factors[f];
-                let mut to_s = [0.0f64; 3];
-                for (gi, row) in fac.table.iter().enumerate() {
-                    to_s[gi] = row[0] * t2f[f][0] + row[1] * t2f[f][1];
-                }
-                let (to_s, ok_s) = checked3_flag(to_s);
-                let to_s = damp3(to_s, f2s[f], damping);
-                let mut d = 0.0f64;
-                for (new, old) in to_s.iter().zip(&f2s[f]) {
-                    d = d.max((new - old).abs());
-                }
-
-                let mut to_t = [0.0f64; 2];
-                for (t, slot) in to_t.iter_mut().enumerate() {
-                    *slot = (0..3).map(|gi| fac.table[gi][t] * s2f[f][gi]).sum();
-                }
-                let (to_t, ok_t) = checked2_flag(to_t);
-                let to_t = damp2(to_t, f2t[f], damping);
-                for (new, old) in to_t.iter().zip(&f2t[f]) {
-                    d = d.max((new - old).abs());
-                }
-                (to_s, to_t, d, ok_s && ok_t)
-            });
-            for (f, (to_s, to_t, d, ok)) in factor_updates.into_iter().enumerate() {
-                f2s[f] = to_s;
-                f2t[f] = to_t;
-                delta = delta.max(d);
-                clean &= ok;
-            }
-
-            // Kin-factor → variable messages: sum-product over the 3×3
-            // transmission table. Both directions read only the s2k
-            // messages and the factor's own old k2s entries.
-            let kin_updates = exec.par_map(nk, |k| {
-                let kf = &g.kin_factors[k];
-                // to child: Σ_p T[p][c] · μ_{parent→k}(p)
-                let mut to_child = [0.0f64; 3];
-                for (c, slot) in to_child.iter_mut().enumerate() {
-                    *slot = (0..3).map(|p| kf.table[p][c] * s2k[k][0][p]).sum();
-                }
-                let (to_child, ok_c) = checked3_flag(to_child);
-                let to_child = damp3(to_child, k2s[k][1], damping);
-                let mut d = 0.0f64;
-                for (new, old) in to_child.iter().zip(&k2s[k][1]) {
-                    d = d.max((new - old).abs());
-                }
-
-                // to parent: Σ_c T[p][c] · μ_{child→k}(c)
-                let mut to_parent = [0.0f64; 3];
-                for (p, slot) in to_parent.iter_mut().enumerate() {
-                    *slot = (0..3).map(|c| kf.table[p][c] * s2k[k][1][c]).sum();
-                }
-                let (to_parent, ok_p) = checked3_flag(to_parent);
-                let to_parent = damp3(to_parent, k2s[k][0], damping);
-                for (new, old) in to_parent.iter().zip(&k2s[k][0]) {
-                    d = d.max((new - old).abs());
-                }
-                ([to_parent, to_child], d, ok_c && ok_p)
-            });
-            for (k, (sides, d, ok)) in kin_updates.into_iter().enumerate() {
-                k2s[k] = sides;
-                delta = delta.max(d);
-                clean &= ok;
-            }
-
-            final_residual = delta;
-            // Each sweep rewrites every factor→variable message: two per
-            // association factor (to-SNP, to-trait) and two per kin factor
-            // (to-parent, to-child). The incremental engine reports the
-            // same metric, so the CI regression gate can compare them.
-            ppdp_telemetry::counter("bp.messages_updated", 2 * (nf + nk) as u64);
-            ppdp_telemetry::value("bp.sweep_residual", delta);
-            ppdp_telemetry::gauge("bp.round", sweeps as f64);
-            ppdp_trace::bp_round(sweeps as u64, delta, 2 * (nf + nk) as u64, (nf + nk) as u64);
-            if let Some(verdict) = watchdog.observe(delta) {
-                ppdp_telemetry::counter(&format!("watchdog.bp.{}", verdict.as_str()), 1);
-                ppdp_trace::watchdog_event("bp", verdict.as_str(), watchdog.iteration());
-            }
-            if !clean {
-                break;
-            }
-            if delta < self.tol {
-                converged = true;
-                break;
-            }
-        }
-
-        // Beliefs: potential × product of all incoming factor messages
-        // (both association and kin factors).
-        let snp_marginals = fold_flag(
-            exec.par_map(g.n_snps(), |s| {
-                checked3_flag(incoming(s, None, None, f2s, k2s, &snp_pot[s]))
-            }),
-            &mut clean,
-        );
-        let trait_marginals = fold_flag(
-            exec.par_map(g.n_traits(), |t| {
-                let mut b = trait_pot[t];
-                for &f in g.trait_factor_ids(t) {
-                    for (x, l) in b.iter_mut().zip(&f2t[f as usize]) {
-                        *x *= l;
-                    }
-                }
-                checked2_flag(b)
-            }),
-            &mut clean,
-        );
-
-        Attempt {
-            snp_marginals,
-            trait_marginals,
-            sweeps,
-            converged: converged && clean,
-            final_residual,
-            clean,
-        }
-    }
-
-    /// Blocked twin of [`BpConfig::attempt`]: the same per-item
-    /// arithmetic, evaluated in the same item order, but with every
-    /// per-sweep `par_map` `Vec` collection replaced by a cache-tiled
-    /// fill into persistent scratch arenas — zero message-stage
-    /// allocations per sweep on a warm scratch, block-to-worker-lane
-    /// affinity across sweeps, and *bitwise-identical* messages and
-    /// marginals (the checked-in linear goldens run under this variant).
-    fn attempt_blocked(
-        &self,
-        g: &FactorGraph,
-        damping: f64,
-        snp_pot: &[[f64; 3]],
-        trait_pot: &[[f64; 2]],
-        scratch: &mut BpScratch,
-    ) -> Attempt {
-        let nf = g.factors.len();
-        let nk = g.kin_factors.len();
-        let exec = if nf + nk >= PAR_MIN_FACTORS {
-            self.exec
-        } else {
-            ExecPolicy::Sequential
-        };
-        let tile = kernels::tile_size(self);
-        let BpScratch {
-            lin_f2s: f2s,
-            lin_f2t: f2t,
-            lin_k2s: k2s,
-            lin_s2f: s2f,
-            lin_s2k: s2k,
-            lin_t2f: t2f,
-            lin_fupd: fupd,
-            lin_kupd: kupd,
-            ..
-        } = scratch;
-        f2s.clear();
-        f2s.resize(nf, [1.0f64; 3]);
-        f2t.clear();
-        f2t.resize(nf, [1.0f64; 2]);
-        k2s.clear();
-        k2s.resize(nk, [[1.0f64; 3]; 2]);
-        s2f.clear();
-        s2f.resize(nf, ([0.0f64; 3], true));
-        s2k.clear();
-        s2k.resize(nk, ([[0.0f64; 3]; 2], true));
-        t2f.clear();
-        t2f.resize(nf, ([0.0f64; 2], true));
-        fupd.clear();
-        fupd.resize(nf, ([0.0f64; 3], [0.0f64; 2], 0.0, true));
-        kupd.clear();
-        kupd.resize(nk, ([[0.0f64; 3]; 2], 0.0, true));
-        let tiles_per_sweep = (3 * nf.div_ceil(tile) + 2 * nk.div_ceil(tile)) as u64;
-        let mut sweeps = 0;
-        let mut converged = false;
-        let mut final_residual = f64::INFINITY;
-        let mut clean = true;
-        let mut watchdog =
-            ppdp_trace::ConvergenceWatchdog::new(ppdp_trace::WatchdogConfig::with_tol(self.tol));
-
-        let incoming = |s: usize,
-                        skip_f: Option<usize>,
-                        skip_k: Option<usize>,
-                        f2s: &[[f64; 3]],
-                        k2s: &[[[f64; 3]; 2]],
-                        pot: &[f64; 3]|
-         -> [f64; 3] {
-            let mut msg = *pot;
-            for &f2 in g.snp_factor_ids(s) {
-                let f2 = f2 as usize;
-                if Some(f2) != skip_f {
-                    for (m, l) in msg.iter_mut().zip(&f2s[f2]) {
-                        *m *= l;
-                    }
-                }
-            }
-            for &k in g.snp_kin_ids(s) {
-                let k = k as usize;
-                if Some(k) != skip_k {
-                    let side = if g.kin_factors[k].parent == s { 0 } else { 1 };
-                    for (m, l) in msg.iter_mut().zip(&k2s[k][side]) {
-                        *m *= l;
-                    }
-                }
-            }
-            msg
-        };
-
-        ppdp_telemetry::target("bp.rounds", self.max_iters as f64);
-        for iter in 0..self.max_iters {
-            sweeps = iter + 1;
-            ppdp_metrics::counter("bp.tiles_swept", tiles_per_sweep);
-            // Variable → factor stage, filled in place. Clean flags are
-            // AND-folded after each stage fill; the fold order differs
-            // from the scalar kernel's interleaved fold but AND is
-            // commutative, so `clean` is identical at every read point.
-            exec.par_fill(&mut s2f[..], tile, |f, slot| {
-                let s = g.factors[f].snp;
-                *slot = checked3_flag(incoming(s, Some(f), None, f2s, k2s, &snp_pot[s]));
-            });
-            for &(_, ok) in s2f.iter() {
-                clean &= ok;
-            }
-            exec.par_fill(&mut s2k[..], tile, |k, slot| {
-                let kf = &g.kin_factors[k];
-                let (to_parent_side, ok_p) = checked3_flag(incoming(
-                    kf.parent,
-                    None,
-                    Some(k),
-                    f2s,
-                    k2s,
-                    &snp_pot[kf.parent],
-                ));
-                let (to_child_side, ok_c) = checked3_flag(incoming(
-                    kf.child,
-                    None,
-                    Some(k),
-                    f2s,
-                    k2s,
-                    &snp_pot[kf.child],
-                ));
-                *slot = ([to_parent_side, to_child_side], ok_p && ok_c);
-            });
-            for &(_, ok) in s2k.iter() {
-                clean &= ok;
-            }
-            exec.par_fill(&mut t2f[..], tile, |f, slot| {
-                let t = g.factors[f].trait_idx;
-                let mut msg = trait_pot[t];
-                for &f2 in g.trait_factor_ids(t) {
-                    let f2 = f2 as usize;
-                    if f2 != f {
-                        for (m, l) in msg.iter_mut().zip(&f2t[f2]) {
-                            *m *= l;
-                        }
-                    }
-                }
-                *slot = checked2_flag(msg);
-            });
-            for &(_, ok) in t2f.iter() {
-                clean &= ok;
-            }
-
-            // Factor → variable stage into the update arena, then a
-            // sequential index-order writeback — the same fold the
-            // scalar kernel performs on its collected Vec.
-            let mut delta = 0.0f64;
-            exec.par_fill(&mut fupd[..], tile, |f, slot| {
-                let fac = &g.factors[f];
-                let mut to_s = [0.0f64; 3];
-                for (gi, row) in fac.table.iter().enumerate() {
-                    to_s[gi] = row[0] * t2f[f].0[0] + row[1] * t2f[f].0[1];
-                }
-                let (to_s, ok_s) = checked3_flag(to_s);
-                let to_s = damp3(to_s, f2s[f], damping);
-                let mut d = 0.0f64;
-                for (new, old) in to_s.iter().zip(&f2s[f]) {
-                    d = d.max((new - old).abs());
-                }
-
-                let mut to_t = [0.0f64; 2];
-                for (t, slot2) in to_t.iter_mut().enumerate() {
-                    *slot2 = (0..3).map(|gi| fac.table[gi][t] * s2f[f].0[gi]).sum();
-                }
-                let (to_t, ok_t) = checked2_flag(to_t);
-                let to_t = damp2(to_t, f2t[f], damping);
-                for (new, old) in to_t.iter().zip(&f2t[f]) {
-                    d = d.max((new - old).abs());
-                }
-                *slot = (to_s, to_t, d, ok_s && ok_t);
-            });
-            for (f, &(to_s, to_t, d, ok)) in fupd.iter().enumerate() {
-                f2s[f] = to_s;
-                f2t[f] = to_t;
-                delta = delta.max(d);
-                clean &= ok;
-            }
-
-            exec.par_fill(&mut kupd[..], tile, |k, slot| {
-                let kf = &g.kin_factors[k];
-                let mut to_child = [0.0f64; 3];
-                for (c, slot2) in to_child.iter_mut().enumerate() {
-                    *slot2 = (0..3).map(|p| kf.table[p][c] * s2k[k].0[0][p]).sum();
-                }
-                let (to_child, ok_c) = checked3_flag(to_child);
-                let to_child = damp3(to_child, k2s[k][1], damping);
-                let mut d = 0.0f64;
-                for (new, old) in to_child.iter().zip(&k2s[k][1]) {
-                    d = d.max((new - old).abs());
-                }
-
-                let mut to_parent = [0.0f64; 3];
-                for (p, slot2) in to_parent.iter_mut().enumerate() {
-                    *slot2 = (0..3).map(|c| kf.table[p][c] * s2k[k].0[1][c]).sum();
-                }
-                let (to_parent, ok_p) = checked3_flag(to_parent);
-                let to_parent = damp3(to_parent, k2s[k][0], damping);
-                for (new, old) in to_parent.iter().zip(&k2s[k][0]) {
-                    d = d.max((new - old).abs());
-                }
-                *slot = ([to_parent, to_child], d, ok_c && ok_p);
-            });
-            for (k, &(sides, d, ok)) in kupd.iter().enumerate() {
-                k2s[k] = sides;
-                delta = delta.max(d);
-                clean &= ok;
-            }
-
-            final_residual = delta;
-            ppdp_telemetry::counter("bp.messages_updated", 2 * (nf + nk) as u64);
-            ppdp_telemetry::value("bp.sweep_residual", delta);
-            ppdp_telemetry::gauge("bp.round", sweeps as f64);
-            ppdp_trace::bp_round(sweeps as u64, delta, 2 * (nf + nk) as u64, (nf + nk) as u64);
-            if let Some(verdict) = watchdog.observe(delta) {
-                ppdp_telemetry::counter(&format!("watchdog.bp.{}", verdict.as_str()), 1);
-                ppdp_trace::watchdog_event("bp", verdict.as_str(), watchdog.iteration());
-            }
-            if !clean {
-                break;
-            }
-            if delta < self.tol {
-                converged = true;
-                break;
-            }
-        }
-
-        let snp_marginals = fold_flag(
-            exec.par_map(g.n_snps(), |s| {
-                checked3_flag(incoming(s, None, None, f2s, k2s, &snp_pot[s]))
-            }),
-            &mut clean,
-        );
-        let trait_marginals = fold_flag(
-            exec.par_map(g.n_traits(), |t| {
-                let mut b = trait_pot[t];
-                for &f in g.trait_factor_ids(t) {
-                    for (x, l) in b.iter_mut().zip(&f2t[f as usize]) {
-                        *x *= l;
-                    }
-                }
-                checked2_flag(b)
-            }),
-            &mut clean,
-        );
-
-        Attempt {
-            snp_marginals,
-            trait_marginals,
-            sweeps,
-            converged: converged && clean,
-            final_residual,
-            clean,
-        }
-    }
 }
 
 pub(crate) fn indicator3(i: usize) -> [f64; 3] {
     let mut v = [0.0; 3];
     v[i] = 1.0;
-    v
-}
-
-/// Normalizes a 3-vector, first checking it for corruption: a NaN, Inf or
-/// negative component, or an underflowed (non-positive) sum, bumps the
-/// `bp.renormalized` counter and repairs the message to uniform so the
-/// sweep can finish with finite values. Returns the message plus a
-/// clean-flag (`false` = repaired); pure apart from the additive counter,
-/// so it is safe to call from worker threads.
-pub(crate) fn checked3_flag(mut v: [f64; 3]) -> ([f64; 3], bool) {
-    let corrupt = v.iter().any(|x| !x.is_finite() || *x < 0.0);
-    let z: f64 = v.iter().sum();
-    if corrupt || !z.is_finite() || z <= 0.0 {
-        ppdp_telemetry::counter("bp.renormalized", 1);
-        return ([1.0 / 3.0; 3], false);
-    }
-    for x in &mut v {
-        *x /= z;
-    }
-    (v, true)
-}
-
-/// 2-vector sibling of [`checked3_flag`].
-pub(crate) fn checked2_flag(mut v: [f64; 2]) -> ([f64; 2], bool) {
-    let corrupt = v.iter().any(|x| !x.is_finite() || *x < 0.0);
-    let z: f64 = v.iter().sum();
-    if corrupt || !z.is_finite() || z <= 0.0 {
-        ppdp_telemetry::counter("bp.renormalized", 1);
-        return ([0.5; 2], false);
-    }
-    for x in &mut v {
-        *x /= z;
-    }
-    (v, true)
-}
-
-/// `&mut clean` adapter over [`checked3_flag`] for sequential-only paths.
-fn checked3(v: [f64; 3], clean: &mut bool) -> [f64; 3] {
-    let (v, ok) = checked3_flag(v);
-    *clean &= ok;
-    v
-}
-
-/// `&mut clean` adapter over [`checked2_flag`] for sequential-only paths.
-fn checked2(v: [f64; 2], clean: &mut bool) -> [f64; 2] {
-    let (v, ok) = checked2_flag(v);
-    *clean &= ok;
     v
 }
 
@@ -849,28 +277,6 @@ pub(crate) fn fold_flag<T>(pairs: Vec<(T, bool)>, clean: &mut bool) -> Vec<T> {
             v
         })
         .collect()
-}
-
-pub(crate) fn damp3(new: [f64; 3], old: [f64; 3], d: f64) -> [f64; 3] {
-    if d <= 0.0 {
-        return new;
-    }
-    let mut out = [0.0; 3];
-    for i in 0..3 {
-        out[i] = d * old[i] + (1.0 - d) * new[i];
-    }
-    out
-}
-
-pub(crate) fn damp2(new: [f64; 2], old: [f64; 2], d: f64) -> [f64; 2] {
-    if d <= 0.0 {
-        return new;
-    }
-    let mut out = [0.0; 2];
-    for i in 0..2 {
-        out[i] = d * old[i] + (1.0 - d) * new[i];
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1152,45 +558,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_linear_kernel_is_bitwise_identical_to_scalar() {
-        // The tentpole invariant that keeps every checked-in golden
-        // valid: in the linear domain, Blocked (the default) is a pure
-        // scheduling/allocation restructure of Scalar.
-        let g = wide_graph();
-        let scalar = BpConfig {
-            variant: KernelVariant::Scalar,
-            ..Default::default()
-        }
-        .run(&g);
-        for tile in [None, Some(1), Some(3), Some(7), Some(4096)] {
-            for threads in [1, 2, 8] {
-                let blocked = BpConfig {
-                    variant: KernelVariant::Blocked,
-                    tile,
-                    exec: ppdp_exec::ExecPolicy::parallel(threads),
-                    ..Default::default()
-                }
-                .run(&g);
-                assert_eq!(scalar, blocked, "tile={tile:?} threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn blocked_log_kernel_matches_scalar_within_1e12_and_is_tile_invariant() {
         let g = wide_graph();
-        let scalar = BpConfig {
-            domain: MessageDomain::Log,
-            variant: KernelVariant::Scalar,
-            ..Default::default()
-        }
-        .run(&g);
-        let blocked = BpConfig {
-            domain: MessageDomain::Log,
-            variant: KernelVariant::Blocked,
-            ..Default::default()
-        }
-        .run(&g);
+        let scalar = BpConfig::default().run_reference(&g);
+        let blocked = BpConfig::default().run(&g);
         assert!(!blocked.degraded);
         for (a, b) in scalar
             .snp_marginals
@@ -1203,8 +574,6 @@ mod tests {
         // Tile size is a pure scheduling knob: bitwise-invariant.
         for tile in [Some(1), Some(5), Some(64)] {
             let other = BpConfig {
-                domain: MessageDomain::Log,
-                variant: KernelVariant::Blocked,
                 tile,
                 ..Default::default()
             }
@@ -1215,26 +584,26 @@ mod tests {
 
     #[test]
     fn log_domain_matches_linear_on_wide_graph() {
+        // The linear oracle is the incremental engine after a cold full
+        // refresh: the same fixed point in probability space.
         let g = wide_graph();
         let tight = BpConfig {
             tol: 1e-12,
             max_iters: 400,
             ..Default::default()
         };
-        let lin = tight.run(&g);
-        let log = BpConfig {
-            domain: MessageDomain::Log,
-            ..tight
-        }
-        .run(&g);
-        assert!(lin.converged && log.converged);
+        let mut lin = crate::IncrementalBp::new(g.clone(), tight);
+        let out = lin.refresh();
+        assert!(out.converged && out.clean);
+        let log = tight.run(&g);
+        assert!(log.converged);
         assert!(!log.degraded);
-        for (a, b) in lin.snp_marginals.iter().zip(&log.snp_marginals) {
+        for (a, b) in lin.snp_marginals().iter().zip(&log.snp_marginals) {
             for (x, y) in a.iter().zip(b) {
                 assert!((x - y).abs() < 1e-9, "snp marginal drift: {x} vs {y}");
             }
         }
-        for (a, b) in lin.trait_marginals.iter().zip(&log.trait_marginals) {
+        for (a, b) in lin.trait_marginals().iter().zip(&log.trait_marginals) {
             for (x, y) in a.iter().zip(b) {
                 assert!((x - y).abs() < 1e-9, "trait marginal drift: {x} vs {y}");
             }
@@ -1244,15 +613,10 @@ mod tests {
     #[test]
     fn log_domain_parallel_policies_reproduce_sequential_bitwise() {
         let g = wide_graph();
-        let seq = BpConfig {
-            domain: MessageDomain::Log,
-            ..Default::default()
-        }
-        .run(&g);
+        let seq = BpConfig::default().run(&g);
         assert!(!seq.degraded);
         for threads in [1, 2, 8] {
             let par = BpConfig {
-                domain: MessageDomain::Log,
                 exec: ppdp_exec::ExecPolicy::parallel(threads),
                 ..Default::default()
             }
@@ -1263,17 +627,15 @@ mod tests {
 
     #[test]
     fn log_domain_poisoned_table_degrades_like_linear() {
+        // The reference kernel screens and degrades exactly like the
+        // production kernel.
         let cat = figure_5_1_catalog();
         let mut g = FactorGraph::build(&cat, &Evidence::none()).unwrap();
         g.add_kin_factor(0, 1, [[0.0; 3]; 3]).unwrap();
         let rec = ppdp_telemetry::Recorder::new();
         let r = {
             let _scope = rec.enter();
-            BpConfig {
-                domain: MessageDomain::Log,
-                ..Default::default()
-            }
-            .run(&g)
+            BpConfig::default().run_reference(&g)
         };
         assert!(r.degraded);
         assert_eq!(r.restarts, 2, "full ladder exhausted");
@@ -1293,18 +655,19 @@ mod tests {
             .with_snp(SnpId(4), Genotype::Het)
             .with_trait(TraitId(0), false);
         let g = FactorGraph::build(&cat, &ev).unwrap();
-        let r = BpConfig {
-            domain: MessageDomain::Log,
-            ..Default::default()
-        }
-        .run(&g);
+        // Clamped log messages leave ~exp(LOG_FLOOR) ≈ 1e-304 mass on
+        // excluded states; the reference kernel, like the production
+        // one, reports an observed variable's indicator instead.
+        let r = BpConfig::default().run_reference(&g);
         let s = g.snp_local(SnpId(4)).unwrap();
-        // Unlike the linear kernel's exact zeros, clamped log messages
-        // leave ~exp(LOG_FLOOR) ≈ 1e-304 mass on excluded states.
-        assert!(r.snp_marginals[s][1] > 1.0 - 1e-12);
-        assert!(r.snp_marginals[s][0] < 1e-300 && r.snp_marginals[s][2] < 1e-300);
+        assert_eq!(r.snp_marginals[s], [0.0, 1.0, 0.0]);
         let t = g.trait_local(TraitId(0)).unwrap();
-        assert!(r.trait_marginals[t][0] > 1.0 - 1e-12);
+        assert_eq!(r.trait_marginals[t], [1.0, 0.0]);
+        // Its unobserved neighbours still see the evidence.
+        let free = g.snp_local(SnpId(0)).unwrap();
+        let base = BpConfig::default()
+            .run_reference(&FactorGraph::build(&cat, &Evidence::none()).unwrap());
+        assert!(r.snp_marginals[free][0] < base.snp_marginals[free][0]);
     }
 
     #[test]

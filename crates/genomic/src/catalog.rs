@@ -144,34 +144,36 @@ impl GwasCatalog {
     /// [`ppdp_errors::PpdpError::InvalidInput`] naming the first offending
     /// trait or association.
     pub fn validate(&self) -> Result<()> {
+        // Messages go through `format_args!`: they are formatted only for
+        // the record that fails, not for every record that passes.
         for (j, t) in self.traits.iter().enumerate() {
             ppdp_errors::ensure_unit_open(
-                &format!("trait {j} ({:?}) prevalence", t.name),
+                format_args!("trait {j} ({:?}) prevalence", t.name),
                 t.prevalence,
             )?;
         }
         for (i, a) in self.associations.iter().enumerate() {
             ppdp_errors::ensure(
                 a.snp.0 < self.n_snps,
-                format!(
+                format_args!(
                     "association {i}: SNP {} out of range (catalog has {} loci)",
                     a.snp, self.n_snps
                 ),
             )?;
             ppdp_errors::ensure(
                 a.trait_id.0 < self.traits.len(),
-                format!(
+                format_args!(
                     "association {i}: trait {} out of range (catalog has {} traits)",
                     a.trait_id,
                     self.traits.len()
                 ),
             )?;
             ppdp_errors::ensure_positive(
-                &format!("association {i} ({} ↔ {}) odds ratio", a.snp, a.trait_id),
+                format_args!("association {i} ({} ↔ {}) odds ratio", a.snp, a.trait_id),
                 a.odds_ratio,
             )?;
             ppdp_errors::ensure_unit_open(
-                &format!("association {i} ({} ↔ {}) control RAF", a.snp, a.trait_id),
+                format_args!("association {i} ({} ↔ {}) control RAF", a.snp, a.trait_id),
                 a.raf_control,
             )?;
         }
@@ -320,5 +322,40 @@ mod tests {
         let mut c = figure_like_catalog();
         c.associations_mut()[0].raf_control = f64::INFINITY;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validate_messages_name_the_record_verbatim() {
+        let msg = |c: &GwasCatalog| c.validate().unwrap_err().to_string();
+        let mut c = figure_like_catalog();
+        c.traits_mut()[0].prevalence = f64::NAN;
+        assert_eq!(
+            msg(&c),
+            "invalid input: trait 0 (\"x\") prevalence must lie in (0, 1), got NaN"
+        );
+        let mut c = figure_like_catalog();
+        c.associations_mut()[1].snp = SnpId(7);
+        assert_eq!(
+            msg(&c),
+            "invalid input: association 1: SNP s7 out of range (catalog has 3 loci)"
+        );
+        let mut c = figure_like_catalog();
+        c.associations_mut()[0].trait_id = TraitId(4);
+        assert_eq!(
+            msg(&c),
+            "invalid input: association 0: trait t4 out of range (catalog has 1 traits)"
+        );
+        let mut c = figure_like_catalog();
+        c.associations_mut()[1].odds_ratio = 0.0;
+        assert_eq!(
+            msg(&c),
+            "invalid input: association 1 (s2 ↔ t0) odds ratio must be finite and > 0, got 0"
+        );
+        let mut c = figure_like_catalog();
+        c.associations_mut()[0].raf_control = f64::INFINITY;
+        assert_eq!(
+            msg(&c),
+            "invalid input: association 0 (s0 ↔ t0) control RAF must lie in (0, 1), got inf"
+        );
     }
 }

@@ -64,7 +64,7 @@ impl Evidence {
         for s in self.snps.keys() {
             ensure(
                 s.0 < catalog.n_snps(),
-                format!(
+                format_args!(
                     "evidence references unknown SNP {s} (catalog has {} loci)",
                     catalog.n_snps()
                 ),
@@ -73,7 +73,7 @@ impl Evidence {
         for t in self.traits.keys() {
             ensure(
                 t.0 < catalog.n_traits(),
-                format!(
+                format_args!(
                     "evidence references unknown trait {t} (catalog has {} traits)",
                     catalog.n_traits()
                 ),
@@ -221,22 +221,36 @@ impl FactorGraph {
         )?;
         evidence.validate_against(catalog)?;
         // Intern in first-occurrence (association) order: local index = the
-        // position of the id's first appearance in the catalog. Sorted maps
-        // make the interner hasher-free; the assigned order depends only on
-        // the association list.
-        let mut snp_index: BTreeMap<SnpId, usize> = BTreeMap::new();
-        let mut trait_index: BTreeMap<TraitId, usize> = BTreeMap::new();
+        // position of the id's first appearance in the catalog. `validate`
+        // has range-checked every id, so dense tables indexed by global id
+        // do the interning; the assigned order depends only on the
+        // association list.
+        const NEW: u32 = u32::MAX;
+        let mut snp_local = vec![NEW; catalog.n_snps()];
+        let mut trait_local = vec![NEW; catalog.n_traits()];
         let mut snp_ids = Vec::new();
         let mut trait_ids = Vec::new();
-
+        let mut factors = Vec::with_capacity(catalog.associations().len());
         for assoc in catalog.associations() {
-            snp_index.entry(assoc.snp).or_insert_with(|| {
+            let s = &mut snp_local[assoc.snp.0];
+            if *s == NEW {
+                *s = snp_ids.len() as u32;
                 snp_ids.push(assoc.snp);
-                snp_ids.len() - 1
-            });
-            trait_index.entry(assoc.trait_id).or_insert_with(|| {
+            }
+            let t = &mut trait_local[assoc.trait_id.0];
+            if *t == NEW {
+                *t = trait_ids.len() as u32;
                 trait_ids.push(assoc.trait_id);
-                trait_ids.len() - 1
+            }
+            let mut table = [[0.0; 2]; 3];
+            for g in Genotype::ALL {
+                table[g.index()][0] = genotype_given_trait(assoc, g, false);
+                table[g.index()][1] = genotype_given_trait(assoc, g, true);
+            }
+            factors.push(Factor {
+                snp: *s as usize,
+                trait_idx: *t as usize,
+                table,
             });
         }
 
@@ -256,22 +270,6 @@ impl FactorGraph {
             .iter()
             .map(|t| evidence.traits.get(t).copied())
             .collect();
-
-        let mut factors = Vec::with_capacity(catalog.associations().len());
-        for assoc in catalog.associations() {
-            let s = snp_index[&assoc.snp];
-            let t = trait_index[&assoc.trait_id];
-            let mut table = [[0.0; 2]; 3];
-            for g in Genotype::ALL {
-                table[g.index()][0] = genotype_given_trait(assoc, g, false);
-                table[g.index()][1] = genotype_given_trait(assoc, g, true);
-            }
-            factors.push(Factor {
-                snp: s,
-                trait_idx: t,
-                table,
-            });
-        }
 
         Ok(Self::assemble(
             snp_ids,
@@ -300,7 +298,7 @@ impl FactorGraph {
     ) -> Result<Self> {
         ensure(
             snp_evidence.len() == snp_ids.len(),
-            format!(
+            format_args!(
                 "snp_evidence has {} entries for {} SNP variables",
                 snp_evidence.len(),
                 snp_ids.len()
@@ -308,7 +306,7 @@ impl FactorGraph {
         )?;
         ensure(
             trait_prior.len() == trait_ids.len() && trait_evidence.len() == trait_ids.len(),
-            format!(
+            format_args!(
                 "trait_prior/trait_evidence have {}/{} entries for {} trait variables",
                 trait_prior.len(),
                 trait_evidence.len(),
@@ -318,7 +316,7 @@ impl FactorGraph {
         for (i, f) in factors.iter().enumerate() {
             ensure(
                 f.snp < snp_ids.len() && f.trait_idx < trait_ids.len(),
-                format!(
+                format_args!(
                     "factor {i} references (snp {}, trait {}) outside {}×{} variables",
                     f.snp,
                     f.trait_idx,
@@ -408,14 +406,14 @@ impl FactorGraph {
         for &(parent, child, ref table) in &batch {
             ensure(
                 parent < self.n_snps() && child < self.n_snps(),
-                format!(
+                format_args!(
                     "kin factor ({parent}, {child}) out of range: graph has {} SNP variables",
                     self.n_snps()
                 ),
             )?;
             ensure(
                 parent != child,
-                format!("kin factor ({parent}, {child}) links a variable to itself"),
+                format_args!("kin factor ({parent}, {child}) links a variable to itself"),
             )?;
             for (p, row) in table.iter().enumerate() {
                 for (c, &v) in row.iter().enumerate() {
@@ -474,9 +472,12 @@ impl FactorGraph {
 
     /// Total factor degree of SNP variable `s` (association + kin). The
     /// incoming message *product* at a variable has components that
-    /// shrink roughly like `0.5^degree`, so linear-domain BP underflows
-    /// to exact zero near degree ≈ 1000 — the diagnostic this helper
-    /// exists for (see [`crate::kernels::MessageDomain`]).
+    /// shrink roughly like `0.5^degree`, so linear-domain messages (the
+    /// [`crate::IncrementalBp`] engine) underflow to exact zero near
+    /// degree ≈ 1000, while the log-domain kernels of [`BpConfig::run`]
+    /// do not.
+    ///
+    /// [`BpConfig::run`]: crate::BpConfig::run
     pub fn snp_degree(&self, s: usize) -> usize {
         self.snp_factor_ids(s).len() + self.snp_kin_ids(s).len()
     }
@@ -776,5 +777,78 @@ mod tests {
         for s in 0..ns {
             assert_eq!(big.snp_local(g.snp_ids[s]), Some(s), "member-0 copy wins");
         }
+    }
+
+    #[test]
+    fn boundary_messages_name_the_record_verbatim() {
+        let cat = figure_5_1_catalog();
+        let msg = |e: PpdpError| e.to_string();
+        let e = Evidence::none().with_snp(SnpId(42), Genotype::Het);
+        assert_eq!(
+            msg(e.validate_against(&cat).unwrap_err()),
+            "invalid input: evidence references unknown SNP s42 (catalog has 5 loci)"
+        );
+        let e = Evidence::none().with_trait(TraitId(9), true);
+        assert_eq!(
+            msg(e.validate_against(&cat).unwrap_err()),
+            "invalid input: evidence references unknown trait t9 (catalog has 3 traits)"
+        );
+
+        let g = FactorGraph::build(&cat, &Evidence::none()).unwrap();
+        let parts = |f: &dyn Fn(&mut FactorGraph)| {
+            let mut h = g.clone();
+            f(&mut h);
+            FactorGraph::from_parts(
+                h.snp_ids,
+                h.trait_ids,
+                h.trait_prior,
+                h.snp_evidence,
+                h.trait_evidence,
+                h.factors,
+            )
+            .unwrap_err()
+        };
+        assert_eq!(
+            msg(parts(&|h| h.snp_evidence.push(None))),
+            "invalid input: snp_evidence has 6 entries for 5 SNP variables"
+        );
+        assert_eq!(
+            msg(parts(&|h| {
+                h.trait_prior.pop();
+            })),
+            "invalid input: trait_prior/trait_evidence have 2/3 entries for 3 trait variables"
+        );
+        assert_eq!(
+            msg(parts(&|h| h.factors[4].trait_idx = 8)),
+            "invalid input: factor 4 references (snp 3, trait 8) outside 5×3 variables"
+        );
+
+        let mut g = g;
+        assert_eq!(
+            msg(g.add_kin_factor(0, 99, [[0.5; 3]; 3]).unwrap_err()),
+            "invalid input: kin factor (0, 99) out of range: graph has 5 SNP variables"
+        );
+        assert_eq!(
+            msg(g.add_kin_factor(1, 1, [[0.5; 3]; 3]).unwrap_err()),
+            "invalid input: kin factor (1, 1) links a variable to itself"
+        );
+    }
+
+    #[test]
+    fn dense_interning_keeps_first_occurrence_order() {
+        // Ids arrive out of order and repeat; locals follow first sight.
+        let mut c = GwasCatalog::new(10);
+        let a = c.add_trait("a", 0.1);
+        let b = c.add_trait("b", 0.2);
+        c.associate(SnpId(9), b, 1.5, 0.3);
+        c.associate(SnpId(2), a, 1.3, 0.25);
+        c.associate(SnpId(9), a, 1.8, 0.25);
+        c.associate(SnpId(4), b, 1.2, 0.4);
+        let g = FactorGraph::build(&c, &Evidence::none()).unwrap();
+        assert_eq!(g.snp_ids, vec![SnpId(9), SnpId(2), SnpId(4)]);
+        assert_eq!(g.trait_ids, vec![b, a]);
+        let ends: Vec<(usize, usize)> = g.factors.iter().map(|f| (f.snp, f.trait_idx)).collect();
+        assert_eq!(ends, vec![(0, 0), (1, 1), (0, 1), (2, 0)]);
+        assert_eq!(g.trait_prior[0], [0.8, 0.2]);
     }
 }

@@ -33,15 +33,19 @@
 //!   reference the equivalence tests (and doubting callers) compare
 //!   against.
 //!
-//! The message arithmetic — including the order factors are folded in, the
-//! [`checked3_flag`]-style corruption repair and the damping rule — is
-//! copied verbatim from [`crate::bp`], so at a converged fixed point on a
-//! forest the two engines agree bitwise; on loopy graphs they agree to the
-//! scheduling tolerance (see `schedule_tol`).
+//! Messages live in linear probability space, normalized per hop, with the
+//! `checked3_flag` corruption repair and linear damping. That keeps a
+//! probe cheap — no `exp`/`ln` per message — but the incoming product at
+//! a variable of degree ≳ 1000 underflows: the engine then repairs
+//! messages and reports [`IncrementalBp::is_clean`] `false`, where the
+//! log-domain kernels of [`BpConfig::run`] stay exact. Callers that can
+//! meet such hubs check the flag and fall back to full log-domain BP (the
+//! greedy sanitizer does). On clean graphs the engine reaches the same
+//! fixed point as [`BpConfig::run`] to within the scheduling tolerance
+//! (see `schedule_tol`); `tests/kernels.rs` uses it as the linear oracle
+//! of the log kernel.
 
-use crate::bp::{
-    checked2_flag, checked3_flag, damp2, damp3, indicator3, BpConfig, PAR_MIN_FACTORS,
-};
+use crate::bp::{indicator3, BpConfig, PAR_MIN_FACTORS};
 use crate::factor_graph::FactorGraph;
 use crate::model::Genotype;
 use ppdp_errors::{ensure, Result};
@@ -157,20 +161,11 @@ pub struct IncrementalBp {
 impl IncrementalBp {
     /// Wraps `g` in an incremental engine. Every factor starts dirty; call
     /// [`IncrementalBp::refresh`] once to reach the initial fixed point
-    /// (equivalent to one full BP run) before reading marginals.
-    ///
-    /// # Errors
-    /// [`ppdp_errors::PpdpError::InvalidInput`] when `cfg` asks for
-    /// [`crate::kernels::MessageDomain::Log`]: the engine's message arenas
-    /// are linear-domain only, and running a Log request on them would
-    /// silently answer a different (underflow-prone) model. Log attackers
-    /// belong on [`BpConfig::run`].
-    pub fn new(g: FactorGraph, cfg: BpConfig) -> Result<Self> {
-        ensure(
-            cfg.domain == crate::kernels::MessageDomain::Linear,
-            "incremental BP runs linear-domain messages only; \
-             a MessageDomain::Log config needs BpConfig::run",
-        )?;
+    /// (equivalent to one full BP run) before reading marginals. Only the
+    /// scheduling fields of `cfg` apply (`max_iters`, `tol`, `damping`,
+    /// `exec`); the restart ladder and tiling belong to
+    /// [`BpConfig::run`].
+    pub fn new(g: FactorGraph, cfg: BpConfig) -> Self {
         let nf = g.factors.len();
         let nk = g.kin_factors.len();
         let snp_pot: Vec<[f64; 3]> = g
@@ -195,7 +190,7 @@ impl IncrementalBp {
         let heap = (0..nf + nk)
             .map(|idx| HeapEntry { res: 1.0, idx })
             .collect();
-        Ok(Self {
+        Self {
             schedule_tol: (cfg.tol * 1e-3).max(1e-300),
             snp_pot,
             trait_pot,
@@ -222,7 +217,7 @@ impl IncrementalBp {
             j_clean: true,
             g,
             cfg,
-        })
+        }
     }
 
     /// The wrapped graph (evidence fields reflect all edits so far).
@@ -260,7 +255,7 @@ impl IncrementalBp {
     pub fn set_snp_evidence(&mut self, s: usize, ev: Option<Genotype>) -> Result<()> {
         ensure(
             s < self.g.n_snps(),
-            format!(
+            format_args!(
                 "set_snp_evidence: variable {s} out of range (graph has {} SNPs)",
                 self.g.n_snps()
             ),
@@ -296,7 +291,7 @@ impl IncrementalBp {
     pub fn set_trait_evidence(&mut self, t: usize, ev: Option<bool>) -> Result<()> {
         ensure(
             t < self.g.n_traits(),
-            format!(
+            format_args!(
                 "set_trait_evidence: variable {t} out of range (graph has {} traits)",
                 self.g.n_traits()
             ),
@@ -619,7 +614,7 @@ impl IncrementalBp {
                 to_s[gi] = row[0] * t2f[0] + row[1] * t2f[1];
             }
             let (to_s, ok_s) = checked3_flag(to_s);
-            let to_s = damp3(to_s, self.f2s[idx], self.cfg.damping);
+            let to_s = damp(to_s, self.f2s[idx], self.cfg.damping);
             let mut d_s = 0.0f64;
             for (new, old) in to_s.iter().zip(&self.f2s[idx]) {
                 d_s = d_s.max((new - old).abs());
@@ -629,7 +624,7 @@ impl IncrementalBp {
                 *slot = (0..3).map(|gi| fac.table[gi][t] * s2f[gi]).sum();
             }
             let (to_t, ok_t) = checked2_flag(to_t);
-            let to_t = damp2(to_t, self.f2t[idx], self.cfg.damping);
+            let to_t = damp(to_t, self.f2t[idx], self.cfg.damping);
             let mut d_t = 0.0f64;
             for (new, old) in to_t.iter().zip(&self.f2t[idx]) {
                 d_t = d_t.max((new - old).abs());
@@ -652,7 +647,7 @@ impl IncrementalBp {
                 *slot = (0..3).map(|p| kf.table[p][c] * from_parent[p]).sum();
             }
             let (to_child, ok_c) = checked3_flag(to_child);
-            let to_child = damp3(to_child, self.k2s[k][1], self.cfg.damping);
+            let to_child = damp(to_child, self.k2s[k][1], self.cfg.damping);
             let mut d_child = 0.0f64;
             for (new, old) in to_child.iter().zip(&self.k2s[k][1]) {
                 d_child = d_child.max((new - old).abs());
@@ -663,7 +658,7 @@ impl IncrementalBp {
                 *slot = (0..3).map(|c| kf.table[p][c] * from_child[c]).sum();
             }
             let (to_parent, ok_pp) = checked3_flag(to_parent);
-            let to_parent = damp3(to_parent, self.k2s[k][0], self.cfg.damping);
+            let to_parent = damp(to_parent, self.k2s[k][0], self.cfg.damping);
             let mut d_parent = 0.0f64;
             for (new, old) in to_parent.iter().zip(&self.k2s[k][0]) {
                 d_parent = d_parent.max((new - old).abs());
@@ -801,6 +796,51 @@ impl IncrementalBp {
     }
 }
 
+/// Normalizes a 3-vector, first checking it for corruption: a NaN, Inf or
+/// negative component, or an underflowed (non-positive) sum, bumps the
+/// `bp.renormalized` counter and repairs the message to uniform so the
+/// refresh can finish with finite values. Returns the message plus a
+/// clean-flag (`false` = repaired); pure apart from the additive counter,
+/// so it is safe to call from worker threads.
+fn checked3_flag(mut v: [f64; 3]) -> ([f64; 3], bool) {
+    let corrupt = v.iter().any(|x| !x.is_finite() || *x < 0.0);
+    let z: f64 = v.iter().sum();
+    if corrupt || !z.is_finite() || z <= 0.0 {
+        ppdp_telemetry::counter("bp.renormalized", 1);
+        return ([1.0 / 3.0; 3], false);
+    }
+    for x in &mut v {
+        *x /= z;
+    }
+    (v, true)
+}
+
+/// 2-vector sibling of [`checked3_flag`].
+fn checked2_flag(mut v: [f64; 2]) -> ([f64; 2], bool) {
+    let corrupt = v.iter().any(|x| !x.is_finite() || *x < 0.0);
+    let z: f64 = v.iter().sum();
+    if corrupt || !z.is_finite() || z <= 0.0 {
+        ppdp_telemetry::counter("bp.renormalized", 1);
+        return ([0.5; 2], false);
+    }
+    for x in &mut v {
+        *x /= z;
+    }
+    (v, true)
+}
+
+/// Linear damping: `d·old + (1−d)·new` per component (`new` when `d ≤ 0`).
+fn damp<const N: usize>(new: [f64; N], old: [f64; N], d: f64) -> [f64; N] {
+    if d <= 0.0 {
+        return new;
+    }
+    let mut out = [0.0; N];
+    for i in 0..N {
+        out[i] = d * old[i] + (1.0 - d) * new[i];
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -836,7 +876,7 @@ mod tests {
         let g = FactorGraph::build(&cat, &ev).unwrap();
         let cfg = BpConfig::default();
         let full = reference(&g, &cfg);
-        let mut inc = IncrementalBp::new(g, cfg).unwrap();
+        let mut inc = IncrementalBp::new(g, cfg);
         let out = inc.refresh();
         assert!(out.converged && out.clean);
         assert_close3(&inc.snp_marginals(), &full.snp_marginals, 1e-12, "snp");
@@ -853,7 +893,7 @@ mod tests {
         let cat = figure_5_1_catalog();
         let g = FactorGraph::build(&cat, &Evidence::none()).unwrap();
         let cfg = BpConfig::default();
-        let mut inc = IncrementalBp::new(g, cfg).unwrap();
+        let mut inc = IncrementalBp::new(g, cfg);
         let first = inc.refresh();
         assert!(first.converged);
 
@@ -877,7 +917,7 @@ mod tests {
     #[test]
     fn refresh_without_dirt_is_free() {
         let g = FactorGraph::build(&figure_5_1_catalog(), &Evidence::none()).unwrap();
-        let mut inc = IncrementalBp::new(g, BpConfig::default()).unwrap();
+        let mut inc = IncrementalBp::new(g, BpConfig::default());
         inc.refresh();
         let idle = inc.refresh();
         assert_eq!(idle.updates, 0);
@@ -892,7 +932,7 @@ mod tests {
         let cat = figure_5_1_catalog();
         let ev = Evidence::none().with_trait(TraitId(1), true);
         let g = FactorGraph::build(&cat, &ev).unwrap();
-        let mut inc = IncrementalBp::new(g, BpConfig::default()).unwrap();
+        let mut inc = IncrementalBp::new(g, BpConfig::default());
         inc.refresh();
         let saved = inc.clone();
 
@@ -921,7 +961,7 @@ mod tests {
     #[test]
     fn trials_do_not_nest_and_must_be_open_to_close() {
         let g = FactorGraph::build(&figure_5_1_catalog(), &Evidence::none()).unwrap();
-        let mut inc = IncrementalBp::new(g, BpConfig::default()).unwrap();
+        let mut inc = IncrementalBp::new(g, BpConfig::default());
         assert!(inc.rollback_trial().is_err());
         assert!(inc.commit_trial().is_err());
         inc.begin_trial().unwrap();
@@ -935,7 +975,7 @@ mod tests {
         let cat = figure_5_1_catalog();
         let g = FactorGraph::build(&cat, &Evidence::none()).unwrap();
         let cfg = BpConfig::default();
-        let mut inc = IncrementalBp::new(g, cfg).unwrap();
+        let mut inc = IncrementalBp::new(g, cfg);
         inc.refresh();
         inc.begin_trial().unwrap();
         inc.set_snp_evidence(0, Some(Genotype::HomNonRisk)).unwrap();
@@ -951,7 +991,7 @@ mod tests {
     fn full_recompute_agrees_with_warm_start() {
         let cat = figure_5_1_catalog();
         let g = FactorGraph::build(&cat, &Evidence::none()).unwrap();
-        let mut inc = IncrementalBp::new(g, BpConfig::default()).unwrap();
+        let mut inc = IncrementalBp::new(g, BpConfig::default());
         inc.refresh();
         inc.set_snp_evidence(3, Some(Genotype::HomRisk)).unwrap();
         inc.refresh();
@@ -991,7 +1031,7 @@ mod tests {
     fn kin_edits_propagate_across_the_family_edge() {
         let g = wide_graph();
         let cfg = BpConfig::default();
-        let mut inc = IncrementalBp::new(g.clone(), cfg).unwrap();
+        let mut inc = IncrementalBp::new(g.clone(), cfg);
         inc.refresh();
         let child_before = inc.snp_marginal(1);
         // Clamping the parent must move the child's marginal through the
@@ -1018,8 +1058,7 @@ mod tests {
                     exec,
                     ..BpConfig::default()
                 },
-            )
-            .unwrap();
+            );
             inc.refresh();
             inc.set_snp_evidence(7, Some(Genotype::Het)).unwrap();
             inc.set_trait_evidence(2, Some(true)).unwrap();
@@ -1046,7 +1085,7 @@ mod tests {
         };
         let g = wide_graph();
         let cfg = BpConfig::default();
-        let mut inc = IncrementalBp::new(g.clone(), cfg).unwrap();
+        let mut inc = IncrementalBp::new(g.clone(), cfg);
         inc.refresh();
         let mut shadow = g;
         for step in 0..40 {
@@ -1076,8 +1115,7 @@ mod tests {
                 max_iters: 0,
                 ..BpConfig::default()
             },
-        )
-        .unwrap();
+        );
         let out = inc.refresh();
         assert!(!out.converged);
         assert!(!inc.converged());
@@ -1090,20 +1128,16 @@ mod tests {
     #[test]
     fn out_of_range_edits_are_rejected() {
         let g = FactorGraph::build(&figure_5_1_catalog(), &Evidence::none()).unwrap();
-        let mut inc = IncrementalBp::new(g, BpConfig::default()).unwrap();
-        assert!(inc.set_snp_evidence(99, None).is_err());
-        assert!(inc.set_trait_evidence(99, None).is_err());
-    }
-
-    #[test]
-    fn log_domain_config_is_rejected() {
-        let g = FactorGraph::build(&figure_5_1_catalog(), &Evidence::none()).unwrap();
-        let cfg = BpConfig {
-            domain: crate::kernels::MessageDomain::Log,
-            ..BpConfig::default()
-        };
-        let err = IncrementalBp::new(g, cfg).err().map(|e| e.kind());
-        assert_eq!(err, Some("invalid_input"), "a Log config must be refused");
+        let mut inc = IncrementalBp::new(g, BpConfig::default());
+        let msg = |r: Result<()>| r.unwrap_err().to_string();
+        assert_eq!(
+            msg(inc.set_snp_evidence(99, None)),
+            "invalid input: set_snp_evidence: variable 99 out of range (graph has 5 SNPs)"
+        );
+        assert_eq!(
+            msg(inc.set_trait_evidence(99, None)),
+            "invalid input: set_trait_evidence: variable 99 out of range (graph has 3 traits)"
+        );
     }
 
     #[test]
@@ -1112,7 +1146,7 @@ mod tests {
         let g = FactorGraph::build(&figure_5_1_catalog(), &Evidence::none()).unwrap();
         let (out, total) = {
             let _scope = rec.enter();
-            let mut inc = IncrementalBp::new(g, BpConfig::default()).unwrap();
+            let mut inc = IncrementalBp::new(g, BpConfig::default());
             let out = inc.refresh();
             (out, inc.messages_updated())
         };

@@ -1,16 +1,14 @@
-//! Log-domain, flat-slice belief-propagation kernels.
+//! Log-domain, flat-slice belief-propagation kernels: the message
+//! arithmetic behind [`crate::BpConfig::run`].
 //!
-//! The textbook sum-product recursion of [`crate::bp`] multiplies
-//! per-hop-normalized messages in linear probability space. That is exact
-//! on the small Fig. 5.1 fixtures, but at AMD scale (90 449 SNPs,
-//! hub variables with thousands of incident factors) the *product of
-//! incoming messages at one variable* underflows: normalized 3-vector
-//! messages have components ≈ 0.3–0.5, so a degree-`d` product has
-//! components ≈ `0.5^d`, which reaches exact `0.0` near `d ≈ 1000` and
-//! triggers the repair → unclean → restart-ladder → `prior_fallback`
-//! degradation path even though the posterior is perfectly well defined.
-//!
-//! This module re-expresses the same fixed-point iteration in log space:
+//! Sum-product BP in linear probability space multiplies
+//! per-hop-normalized messages. At AMD scale (90 449 SNPs, hub variables
+//! with thousands of incident factors) the *product of incoming messages
+//! at one variable* underflows: normalized 3-vector messages have
+//! components ≈ 0.3–0.5, so a degree-`d` product has components ≈
+//! `0.5^d`, which reaches exact `0.0` near `d ≈ 1000` even though the
+//! posterior is perfectly well defined. The kernels here run the same
+//! fixed-point iteration (Eqs. 5.3–5.6) in log space:
 //!
 //! * messages are stored as logs, normalized so `logsumexp(msg) = 0`;
 //! * products become sums; factor marginalization becomes
@@ -21,79 +19,36 @@
 //!   subtraction `total − own` branch-free: no `-inf − (-inf) = NaN`
 //!   corner exists;
 //! * the per-variable incoming *product* is computed once per sweep as a
-//!   flat total ([`BpScratch::stot`]/[`BpScratch::ttot`]), and each
-//!   factor's cavity is recovered by subtracting its own branch — the
-//!   innermost loops are fixed-width lane loops over padded `[f64; 4]`
-//!   slots with no per-edge indirection, so they auto-vectorize;
+//!   flat total (pass A), and each factor's cavity is recovered by
+//!   subtracting its own branch (pass B), so a variable of degree `d`
+//!   costs O(d) per sweep rather than O(d²);
 //! * sweeps are scheduled over the CSR arenas in cache-sized blocks via
 //!   [`ppdp_exec::ExecPolicy::par_fill`], with block-to-worker-lane
 //!   affinity that is stable across rounds.
 //!
-//! The domain is selected per run by [`MessageDomain`] on
-//! [`crate::BpConfig`]; the linear kernel remains the default and is
-//! bit-for-bit unchanged. The differential suite (`tests/kernels.rs`)
-//! proves the two kernels agree to ≤ 1e-9 on the golden fixtures, pick
-//! identical sanitization sets, and stay policy- and resume-equivalent,
-//! while the adversarial proptests drive the linear kernel into
-//! underflow that the log kernel survives.
+//! `attempt` is the production kernel. Each association
+//! factor's state is split over three planes — the hot SNP-side log lanes
+//! that pass A gathers four factors at a time, a cold half with the
+//! trait-side lanes and sweep bookkeeping, and a probability-space copy
+//! of both messages — so its factor update runs in probability space
+//! against the graph's own tables, floored at `exp(LOG_FLOOR)`. Pass B
+//! reads only the pass-A totals and its own factor's previous slot, so
+//! every plane is updated in place.
+//!
+//! `reference_attempt` is the scalar reference: per-factor log-sum-exp
+//! updates with sequential gathers, reachable only through the hidden
+//! [`crate::BpConfig::run_reference`] entry point. The differential
+//! suite (`tests/kernels.rs`) and the `bench_scale` speedup gate compare
+//! the two; they agree to ≲1e-12 per lane.
 //!
 //! Arenas live in a thread-local [`BpScratch`] (see [`with_scratch`]),
-//! so repeated `publish`/`publish_resumable` calls on one thread reuse
-//! their message buffers instead of reallocating per BP run.
+//! so repeated `publish` calls on one thread reuse their message buffers
+//! instead of reallocating per BP run.
 
-use crate::bp::{Attempt, BpConfig, PAR_MIN_FACTORS};
-use crate::factor_graph::FactorGraph;
+use crate::bp::{fold_flag, indicator3, Attempt, BpConfig, PAR_MIN_FACTORS};
+use crate::factor_graph::{FactorGraph, KinFactor};
 use ppdp_exec::ExecPolicy;
 use std::cell::RefCell;
-
-/// Numeric domain for BP message storage and combination.
-///
-/// Both domains iterate the *same* fixed point (Eqs. 5.3–5.6) and
-/// converge on the same residual criterion (max absolute change of
-/// probability-space message components), so marginals agree to within
-/// the convergence tolerance. Choose:
-///
-/// * [`Linear`](MessageDomain::Linear) — the default. Exact zeros are
-///   preserved (evidence indicators stay `0.0`), and the historical
-///   golden snapshots were produced in this domain. Underflows at high
-///   variable degree (≳ 1000 incident factors).
-/// * [`Log`](MessageDomain::Log) — log-sum-exp kernels, immune to
-///   message-product underflow; exact zeros become `exp(LOG_FLOOR)`
-///   ≈ 1e-304. Use for paper-scale graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MessageDomain {
-    /// Probability-space messages (historical kernel, exact zeros).
-    #[default]
-    Linear,
-    /// Log-space messages (underflow-immune flat-lane kernel).
-    Log,
-}
-
-/// Inner-loop implementation of the BP message kernels, selected per run
-/// by [`crate::BpConfig::variant`].
-///
-/// * In the **linear** domain the two variants are bitwise-identical:
-///   `Blocked` only replaces the per-sweep `par_map` `Vec` collections
-///   with tiled fills into persistent scratch arenas, evaluating the
-///   exact same per-item arithmetic in the same order (the checked-in
-///   golden snapshots pin this).
-/// * In the **log** domain `Blocked` additionally switches to the
-///   structure-of-arrays message planes and 4-lane gather accumulators
-///   below, which *reassociate* the per-variable sums — results agree
-///   with `Scalar` to well under 1e-12 per lane but are not bitwise
-///   against it. Each variant remains bitwise-deterministic across exec
-///   policies and tile sizes on its own, because every per-item closure
-///   is a pure function of the previous sweep's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelVariant {
-    /// Historical per-item kernels: the reference implementation the
-    /// differential suite compares against.
-    Scalar,
-    /// Lane-batched, cache-blocked kernels: SoA message planes,
-    /// `chunks_exact` quad-lane gathers, tiled round scheduling.
-    #[default]
-    Blocked,
-}
 
 /// Lower clamp for stored log-message lanes: `exp(-700)` ≈ 9.9e-305 is
 /// the smallest normal-range magnitude we keep, safely above f64's
@@ -109,15 +64,15 @@ const LN_THIRD: f64 = -1.0986122886681098;
 /// `ln(1/2)`, the uniform 2-state log-message.
 const LN_HALF: f64 = -std::f64::consts::LN_2;
 
-/// Factors per scheduling block: 4096 × 64-byte [`FacMsg`] slots ≈
-/// 256 KiB per block, sized to stay resident in a core's private L2
+/// Factors per scheduling block: 4096 × 32-byte hot-plane slots ≈
+/// 128 KiB per block, sized to stay resident in a core's private L2
 /// across the read-modify-write of one sweep.
 const BLOCK: usize = 4096;
 
-/// Resolves the effective cache-tile size for the blocked kernels:
+/// Resolves the effective cache-tile size for the blocked kernel:
 /// [`crate::BpConfig::tile`] when set (the differential suite sweeps
 /// tile boundaries through it), otherwise the L2-sized [`BLOCK`].
-pub(crate) fn tile_size(cfg: &BpConfig) -> usize {
+fn tile_size(cfg: &BpConfig) -> usize {
     cfg.tile.unwrap_or(BLOCK).max(1)
 }
 
@@ -160,8 +115,7 @@ pub fn logsumexp(xs: &[f64]) -> f64 {
 /// clamping lanes at [`LOG_FLOOR`] (lane 3 is padding and left as-is).
 /// A non-finite normalizer — a NaN or `+inf` lane, the log-domain
 /// signature of a poisoned table — repairs the message to uniform,
-/// bumps `bp.renormalized`, and returns `false`, mirroring the linear
-/// kernel's `checked3_flag`.
+/// bumps `bp.renormalized`, and returns `false`.
 #[inline]
 pub(crate) fn norm3_log(v: &mut [f64; 4]) -> bool {
     let z = lse3(v[0], v[1], v[2]);
@@ -203,7 +157,7 @@ fn logmix(old: f64, new: f64, ln_d: f64, ln_1md: f64) -> f64 {
 
 /// One association factor's outgoing log-messages plus its sweep
 /// residual and clean flag, padded to a 64-byte cache line so one
-/// factor's state is one line.
+/// factor's state is one line. The scalar reference kernel's record.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FacMsg {
     /// Log-message to the SNP variable (lane 3 = padding, kept `0.0`).
@@ -218,8 +172,7 @@ pub(crate) struct FacMsg {
 
 impl Default for FacMsg {
     fn default() -> Self {
-        // ln(1) = 0 per lane: identical to the linear kernel's fresh
-        // [1.0; 3] messages, so sweep 1 sees the same starting point.
+        // ln(1) = 0 per lane: the flat starting messages.
         Self {
             to_s: [0.0; 4],
             to_t: [0.0; 2],
@@ -250,12 +203,11 @@ impl Default for KinMsg {
     }
 }
 
-/// Cold half of one association factor's state in the blocked
-/// structure-of-arrays layout: the trait-side message plus sweep
-/// bookkeeping, padded to half a cache line. The hot SNP-side lanes
-/// live in a separate `[f64; 4]` plane ([`BpScratch::fs2s`]), so the
-/// pass-A SNP gathers stream 32-byte records of nothing but `to_s`
-/// lanes — half the cache traffic of the 64-byte [`FacMsg`] layout.
+/// Cold half of one association factor's state in the blocked layout:
+/// the trait-side message plus sweep bookkeeping, padded to half a cache
+/// line. The hot SNP-side lanes live in a separate `[f64; 4]` plane
+/// ([`BpScratch::fs2s`]), so the pass-A SNP gathers stream 32-byte
+/// records of nothing but `to_s` lanes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FacHalf {
     to_t: [f64; 2],
@@ -273,14 +225,13 @@ impl Default for FacHalf {
     }
 }
 
-/// Probability-space shadow of one association factor's outgoing
-/// messages in the blocked log kernel. Keeping the linear values of the
-/// previous sweep alongside the log planes lets the factor update run
-/// its marginalization, damping and residual entirely in probability
-/// space: the only transcendentals left per factor are the five `exp`
-/// calls of the cavity normalization and the five `ln` calls that store
-/// the result back into the log planes — down from ~40 in a pure
-/// log-sum-exp update, which is what the ≥1.5× bench gate buys.
+/// Probability-space copy of one association factor's outgoing messages
+/// in the blocked kernel. Keeping the linear values of the previous sweep
+/// next to the log planes lets the factor update run its
+/// marginalization, damping and residual entirely in probability space:
+/// the only transcendentals left per factor are the five `exp` calls of
+/// the cavity normalization and the five `ln` calls that store the result
+/// back into the log planes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ProbMsg {
     /// Linear message to the SNP variable (lane 3 = padding).
@@ -363,7 +314,7 @@ fn gather2(init: [f64; 2], ids: &[u32], half: &[FacHalf]) -> [f64; 2] {
     tot
 }
 
-/// Reusable message arenas for both BP kernels.
+/// Reusable message arenas for the BP kernels.
 ///
 /// One scratch lives per thread (see [`with_scratch`]); `clear` +
 /// `resize` re-initializes contents to the fresh-run values without
@@ -374,59 +325,27 @@ fn gather2(init: [f64; 2], ids: &[u32], half: &[FacHalf]) -> [f64; 2] {
 /// runs (asserted flat by the arena-reuse leak test).
 #[derive(Debug, Default)]
 pub struct BpScratch {
-    /// Linear-domain factor→SNP messages.
-    pub(crate) lin_f2s: Vec<[f64; 3]>,
-    /// Linear-domain factor→trait messages.
-    pub(crate) lin_f2t: Vec<[f64; 2]>,
-    /// Linear-domain kin→SNP messages (side 0 parent, 1 child).
-    pub(crate) lin_k2s: Vec<[[f64; 3]; 2]>,
-    /// Blocked linear kernel: per-sweep variable→factor stage results
-    /// (`(message, clean)`), filled in place instead of collected.
-    pub(crate) lin_s2f: Vec<([f64; 3], bool)>,
-    /// Blocked linear kernel: variable→kin-factor stage results.
-    pub(crate) lin_s2k: Vec<([[f64; 3]; 2], bool)>,
-    /// Blocked linear kernel: trait→factor stage results.
-    pub(crate) lin_t2f: Vec<([f64; 2], bool)>,
-    /// Blocked linear kernel: factor-update stage results
-    /// (`to_s`, `to_t`, residual, clean).
-    pub(crate) lin_fupd: Vec<([f64; 3], [f64; 2], f64, bool)>,
-    /// Blocked linear kernel: kin-update stage results.
-    pub(crate) lin_kupd: Vec<([[f64; 3]; 2], f64, bool)>,
-    /// Blocked log kernel: current / next hot SNP-side message planes.
+    /// Hot SNP-side log-message plane, one slot per association factor.
     fs2s: Vec<[f64; 4]>,
-    nfs2s: Vec<[f64; 4]>,
-    /// Blocked log kernel: current / next cold factor halves.
+    /// Cold factor halves (trait-side lanes, residual, clean flag).
     fhalf: Vec<FacHalf>,
-    nfhalf: Vec<FacHalf>,
-    /// Blocked log kernel: current / next probability-space shadows.
+    /// Probability-space copies of both factor messages.
     fprob: Vec<ProbMsg>,
-    nfprob: Vec<ProbMsg>,
-    /// Per-association-factor log tables, `[g*2 + t]`, pads at floor.
-    ltab: Vec<[f64; 8]>,
-    /// `exp` of the [`BpScratch::ltab`] lanes: the linear tables the
-    /// blocked kernel's probability-space factor update multiplies
-    /// against. Derived from the floored log lanes (not the raw input
-    /// tables) so zeros and poison screen identically in both variants.
-    ptab: Vec<[f64; 8]>,
+    /// Scalar reference kernel: association-factor messages.
+    fmsg: Vec<FacMsg>,
+    /// Kin-factor messages (both kernels).
+    kmsg: Vec<KinMsg>,
     /// Per-kin-factor log tables, `[p*4 + c]`, pads at floor.
     lktab: Vec<[f64; 16]>,
-    /// Log node potentials (evidence indicators / flat / priors).
-    lsnp_pot: Vec<[f64; 4]>,
     /// Log trait potentials (evidence indicators / prevalence priors).
     ltrait_pot: Vec<[f64; 2]>,
-    /// Current / next association-factor messages (swapped per sweep).
-    fmsg: Vec<FacMsg>,
-    nfmsg: Vec<FacMsg>,
-    /// Current / next kin-factor messages.
-    kmsg: Vec<KinMsg>,
-    nkmsg: Vec<KinMsg>,
     /// Per-SNP incoming log totals (potential + all incident messages).
     stot: Vec<[f64; 4]>,
     /// Per-trait incoming log totals.
     ttot: Vec<[f64; 2]>,
     /// `false` when table/potential screening found a poisoned input —
-    /// every log attempt on this graph is then marked unclean, matching
-    /// the linear kernel's repair-and-degrade semantics.
+    /// every attempt on this graph is then marked unclean, so the run
+    /// repairs and degrades instead of trusting the messages.
     log_ok: bool,
 }
 
@@ -444,458 +363,354 @@ pub fn with_scratch<R>(f: impl FnOnce(&mut BpScratch) -> R) -> R {
     })
 }
 
-/// Converts one probability `x` to a floored log lane. Exact zeros are
-/// legal table entries and clamp to [`LOG_FLOOR`]; NaN, negative or
-/// `+inf` entries are poison and clear `ok` (the linear kernel would
-/// emit NaN messages and repair them; the log kernel screens once).
+/// Converts one probability `x` to a floored log lane. Exact zeros — and
+/// poison, which [`table_ok`] screens separately — clamp to
+/// [`LOG_FLOOR`].
 #[inline]
-fn ln_lane(x: f64, ok: &mut bool) -> f64 {
+fn ln_lane(x: f64) -> f64 {
     if x > 0.0 && x.is_finite() {
         x.ln().max(LOG_FLOOR)
     } else {
-        if x != 0.0 {
-            *ok = false;
-        }
         LOG_FLOOR
     }
 }
 
+/// Screens one factor table or prior: `false` (plus a `bp.renormalized`
+/// bump) when an entry is NaN, negative or infinite, or every entry is
+/// zero — the inputs whose every message would need repair.
+fn table_ok<'a>(entries: impl IntoIterator<Item = &'a f64>) -> bool {
+    let mut ok = true;
+    let mut any_pos = false;
+    for &x in entries {
+        ok &= x >= 0.0 && x.is_finite();
+        any_pos |= x > 0.0;
+    }
+    if !ok || !any_pos {
+        ppdp_telemetry::counter("bp.renormalized", 1);
+    }
+    ok && any_pos
+}
+
+/// `clear` + `resize`: every slot back to `fill` without releasing
+/// capacity.
+fn reset<T: Clone>(v: &mut Vec<T>, n: usize, fill: T) {
+    v.clear();
+    v.resize(n, fill);
+}
+
 impl BpScratch {
-    /// True when the arenas already have capacity for an `nf`-factor,
-    /// `nk`-kin-factor graph in `domain` under `variant` (i.e. the
-    /// coming run allocates nothing).
-    pub(crate) fn is_warm(
-        &self,
-        domain: MessageDomain,
-        variant: KernelVariant,
-        nf: usize,
-        nk: usize,
-    ) -> bool {
-        match (domain, variant) {
-            (MessageDomain::Linear, KernelVariant::Scalar) => {
-                self.lin_f2s.capacity() >= nf
-                    && self.lin_f2t.capacity() >= nf
-                    && self.lin_k2s.capacity() >= nk
-            }
-            (MessageDomain::Linear, KernelVariant::Blocked) => {
-                self.lin_f2s.capacity() >= nf
-                    && self.lin_f2t.capacity() >= nf
-                    && self.lin_k2s.capacity() >= nk
-                    && self.lin_s2f.capacity() >= nf
-                    && self.lin_s2k.capacity() >= nk
-                    && self.lin_t2f.capacity() >= nf
-                    && self.lin_fupd.capacity() >= nf
-                    && self.lin_kupd.capacity() >= nk
-            }
-            (MessageDomain::Log, KernelVariant::Scalar) => {
-                self.fmsg.capacity() >= nf
-                    && self.nfmsg.capacity() >= nf
-                    && self.kmsg.capacity() >= nk
-                    && self.nkmsg.capacity() >= nk
-                    && self.ltab.capacity() >= nf
-            }
-            (MessageDomain::Log, KernelVariant::Blocked) => {
-                self.fs2s.capacity() >= nf
-                    && self.nfs2s.capacity() >= nf
-                    && self.fhalf.capacity() >= nf
-                    && self.nfhalf.capacity() >= nf
-                    && self.fprob.capacity() >= nf
-                    && self.nfprob.capacity() >= nf
-                    && self.kmsg.capacity() >= nk
-                    && self.nkmsg.capacity() >= nk
-                    && self.ltab.capacity() >= nf
-                    && self.ptab.capacity() >= nf
-            }
-        }
+    /// True when the production kernel's arenas already have capacity
+    /// for an `nf`-factor, `nk`-kin-factor graph (i.e. the coming run
+    /// allocates no message buffer).
+    pub(crate) fn is_warm(&self, nf: usize, nk: usize) -> bool {
+        self.fs2s.capacity() >= nf
+            && self.fhalf.capacity() >= nf
+            && self.fprob.capacity() >= nf
+            && self.kmsg.capacity() >= nk
     }
 
-    /// Precomputes the log tables and log potentials for `g`, returning
-    /// with `self.log_ok = false` (and one `bp.renormalized` bump per
-    /// poisoned factor) when screening finds NaN/negative/`+inf` entries
-    /// or an all-zero table — the inputs on which the linear kernel's
-    /// every sweep needs repair.
-    pub(crate) fn prepare_log(&mut self, g: &FactorGraph) {
-        let nf = g.factors.len();
-        let nk = g.kin_factors.len();
-        self.log_ok = true;
+    /// Bytes of message-arena capacity this scratch holds (capacity ×
+    /// element size, summed over every arena) — the figure the arena
+    /// budget test in `tests/kernels.rs` bounds per factor and per SNP.
+    pub fn arena_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        bytes(&self.fs2s)
+            + bytes(&self.fhalf)
+            + bytes(&self.fprob)
+            + bytes(&self.fmsg)
+            + bytes(&self.kmsg)
+            + bytes(&self.lktab)
+            + bytes(&self.ltrait_pot)
+            + bytes(&self.stot)
+            + bytes(&self.ttot)
+    }
 
-        self.ltab.clear();
-        self.ltab.reserve(nf);
-        self.ptab.clear();
-        self.ptab.reserve(nf);
+    /// Screens `g`'s tables and priors and precomputes the kin log
+    /// tables and trait log potentials, leaving `self.log_ok = false`
+    /// (with one `bp.renormalized` bump per poisoned factor) when
+    /// screening finds NaN/negative/`+inf` entries or an all-zero table.
+    /// Association tables are not copied: the kernels read them from the
+    /// graph.
+    pub(crate) fn prepare(&mut self, g: &FactorGraph) {
+        self.log_ok = true;
         for fac in &g.factors {
-            let mut lanes = [LOG_FLOOR; 8];
-            let mut ok = true;
-            let mut any_pos = false;
-            for (gi, row) in fac.table.iter().enumerate() {
-                for (t, &x) in row.iter().enumerate() {
-                    any_pos |= x > 0.0;
-                    lanes[gi * 2 + t] = ln_lane(x, &mut ok);
-                }
-            }
-            if !ok || !any_pos {
-                ppdp_telemetry::counter("bp.renormalized", 1);
-                self.log_ok = false;
-            }
-            self.ltab.push(lanes);
-            self.ptab.push(lanes.map(f64::exp));
+            self.log_ok &= table_ok(fac.table.iter().flatten());
         }
 
         self.lktab.clear();
-        self.lktab.reserve(nk);
+        self.lktab.reserve(g.kin_factors.len());
         for kf in &g.kin_factors {
+            self.log_ok &= table_ok(kf.table.iter().flatten());
             let mut lanes = [LOG_FLOOR; 16];
-            let mut ok = true;
-            let mut any_pos = false;
             for (p, row) in kf.table.iter().enumerate() {
                 for (c, &x) in row.iter().enumerate() {
-                    any_pos |= x > 0.0;
-                    lanes[p * 4 + c] = ln_lane(x, &mut ok);
+                    lanes[p * 4 + c] = ln_lane(x);
                 }
-            }
-            if !ok || !any_pos {
-                ppdp_telemetry::counter("bp.renormalized", 1);
-                self.log_ok = false;
             }
             self.lktab.push(lanes);
         }
 
-        self.lsnp_pot.clear();
-        self.lsnp_pot.reserve(g.n_snps());
-        for ev in &g.snp_evidence {
-            self.lsnp_pot.push(match ev {
-                Some(i) => {
-                    let mut v = [LOG_FLOOR, LOG_FLOOR, LOG_FLOOR, 0.0];
-                    v[*i] = 0.0;
-                    v
-                }
-                // ln(1) per lane — flat, like the linear [1.0; 3] pot.
-                None => [0.0; 4],
-            });
-        }
-
         self.ltrait_pot.clear();
         self.ltrait_pot.reserve(g.n_traits());
-        for (t, ev) in g.trait_evidence.iter().enumerate() {
+        for (ev, p) in g.trait_evidence.iter().zip(&g.trait_prior) {
             self.ltrait_pot.push(match ev {
                 Some(true) => [LOG_FLOOR, 0.0],
                 Some(false) => [0.0, LOG_FLOOR],
                 None => {
-                    let mut ok = true;
-                    let p = g.trait_prior[t];
-                    let lanes = [ln_lane(p[0], &mut ok), ln_lane(p[1], &mut ok)];
-                    if !ok {
-                        ppdp_telemetry::counter("bp.renormalized", 1);
-                        self.log_ok = false;
-                    }
-                    lanes
+                    self.log_ok &= table_ok(p);
+                    [ln_lane(p[0]), ln_lane(p[1])]
                 }
             });
         }
     }
 }
 
-/// One log-domain message-passing attempt from fresh messages at the
-/// given damping — the log twin of the linear `BpConfig::attempt`, with
-/// identical sweep scheduling (synchronous updates from the previous
-/// sweep's messages), residual semantics (max absolute *probability*
-/// change), telemetry stream, and restart/degradation contract.
-/// Requires [`BpScratch::prepare_log`] to have run for `g`.
-pub(crate) fn log_attempt(
-    cfg: &BpConfig,
-    g: &FactorGraph,
-    damping: f64,
-    scratch: &mut BpScratch,
-) -> Attempt {
-    let nf = g.factors.len();
-    let nk = g.kin_factors.len();
-    let exec = if nf + nk >= PAR_MIN_FACTORS {
+/// Log node potential of a SNP variable: its floored evidence indicator,
+/// or flat (`ln 1` per lane) when unobserved.
+#[inline]
+fn lsnp_pot(ev: Option<usize>) -> [f64; 4] {
+    match ev {
+        Some(i) => {
+            let mut v = [LOG_FLOOR, LOG_FLOOR, LOG_FLOOR, 0.0];
+            v[i] = 0.0;
+            v
+        }
+        None => [0.0; 4],
+    }
+}
+
+/// The policy a sweep runs under: graphs below [`PAR_MIN_FACTORS`] stay
+/// sequential whatever the configuration asks for.
+fn sweep_exec(cfg: &BpConfig, g: &FactorGraph) -> ExecPolicy {
+    if g.factors.len() + g.kin_factors.len() >= PAR_MIN_FACTORS {
         cfg.exec
     } else {
         ExecPolicy::Sequential
-    };
-    let BpScratch {
-        ltab,
-        lktab,
-        lsnp_pot,
-        ltrait_pot,
-        fmsg,
-        nfmsg,
-        kmsg,
-        nkmsg,
-        stot,
-        ttot,
-        log_ok,
-        ..
-    } = scratch;
-    let inputs_ok = *log_ok;
-    let (ltab, lktab) = (&ltab[..], &lktab[..]);
-    let (lsnp_pot, ltrait_pot) = (&lsnp_pot[..], &ltrait_pot[..]);
-    fmsg.clear();
-    fmsg.resize(nf, FacMsg::default());
-    nfmsg.clear();
-    nfmsg.resize(nf, FacMsg::default());
-    kmsg.clear();
-    kmsg.resize(nk, KinMsg::default());
-    nkmsg.clear();
-    nkmsg.resize(nk, KinMsg::default());
-    stot.clear();
-    stot.resize(g.n_snps(), [0.0; 4]);
-    ttot.clear();
-    ttot.resize(g.n_traits(), [0.0; 2]);
+    }
+}
 
-    let (ln_d, ln_1md) = if damping > 0.0 {
-        (damping.ln(), (1.0 - damping).ln())
+/// Damping weights in both domains: `(d, ln d, ln(1 − d))`.
+fn damping_weights(damping: f64) -> (f64, f64, f64) {
+    if damping > 0.0 {
+        (damping, damping.ln(), (1.0 - damping).ln())
     } else {
-        (f64::NEG_INFINITY, 0.0)
-    };
+        (0.0, f64::NEG_INFINITY, 0.0)
+    }
+}
 
-    let mut sweeps = 0;
-    let mut converged = false;
-    let mut final_residual = f64::INFINITY;
-    let mut clean = inputs_ok;
+/// How one attempt's sweep loop ended.
+struct Sweeps {
+    sweeps: usize,
+    converged: bool,
+    final_residual: f64,
+    clean: bool,
+}
+
+/// The sweep loop both kernels share: runs `sweep` (one synchronous
+/// round, returning its residual — the max absolute *probability*
+/// change of any message — and whether every update in it was clean)
+/// until convergence, corruption or the iteration budget, recording the
+/// per-sweep telemetry and watchdog verdicts.
+fn iterate(
+    cfg: &BpConfig,
+    g: &FactorGraph,
+    inputs_ok: bool,
+    mut sweep: impl FnMut() -> (f64, bool),
+) -> Sweeps {
+    let updated = 2 * (g.factors.len() + g.kin_factors.len()) as u64;
+    let mut out = Sweeps {
+        sweeps: 0,
+        converged: false,
+        final_residual: f64::INFINITY,
+        clean: inputs_ok,
+    };
+    // Live convergence monitor: flags stalled/oscillating/diverging
+    // residual trajectories as `watchdog.bp.*` counters and trace events
+    // without ever changing the iteration itself.
     let mut watchdog =
         ppdp_trace::ConvergenceWatchdog::new(ppdp_trace::WatchdogConfig::with_tol(cfg.tol));
-
-    // Pass A: per-variable incoming totals (potential + every incident
-    // message). Totals make the per-factor cavity a branch-free
-    // subtraction in pass B instead of a skip-one gather per edge.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_totals(
-        g: &FactorGraph,
-        exec: ExecPolicy,
-        fm: &[FacMsg],
-        km: &[KinMsg],
-        lsnp_pot: &[[f64; 4]],
-        ltrait_pot: &[[f64; 2]],
-        stot: &mut [[f64; 4]],
-        ttot: &mut [[f64; 2]],
-    ) {
-        exec.par_fill(stot, BLOCK, |s, slot| {
-            let mut tot = lsnp_pot[s];
-            for &f in g.snp_factor_ids(s) {
-                add4(&mut tot, &fm[f as usize].to_s);
-            }
-            for &k in g.snp_kin_ids(s) {
-                let k = k as usize;
-                let m = if g.kin_factors[k].parent == s {
-                    &km[k].to_parent
-                } else {
-                    &km[k].to_child
-                };
-                add4(&mut tot, m);
-            }
-            *slot = tot;
-        });
-        exec.par_fill(ttot, BLOCK, |t, slot| {
-            let mut tot = ltrait_pot[t];
-            for &f in g.trait_factor_ids(t) {
-                add2(&mut tot, &fm[f as usize].to_t);
-            }
-            *slot = tot;
-        });
-    }
-
+    // Live progress: the metrics heartbeat derives progress/ETA from the
+    // bp.round gauge against this declared ceiling.
     ppdp_telemetry::target("bp.rounds", cfg.max_iters as f64);
     for iter in 0..cfg.max_iters {
-        sweeps = iter + 1;
-        gather_totals(g, exec, fmsg, kmsg, lsnp_pot, ltrait_pot, stot, ttot);
-        let (st, tt) = (&stot[..], &ttot[..]);
-
-        // Pass B: per-factor cavity + update (Eqs. 5.5/5.6 in log
-        // space). Reads only previous-sweep messages and the totals, so
-        // every slot is independent; the innermost loops are fixed-lane.
-        {
-            let fm = &fmsg[..];
-            exec.par_fill(&mut nfmsg[..], BLOCK, |f, slot| {
-                let fac = &g.factors[f];
-                let old = &fm[f];
-                let tab = &ltab[f];
-                let mut ok = true;
-
-                // Cavity at the SNP = this factor's variable→factor
-                // message (Eq. 5.3), normalized like the linear kernel
-                // normalizes s2f.
-                let mut cs = [0.0f64; 4];
-                for ((c, &t), &o) in cs.iter_mut().zip(&st[fac.snp]).zip(&old.to_s) {
-                    *c = t - o;
-                }
-                ok &= norm3_log(&mut cs);
-                let mut ct = [
-                    tt[fac.trait_idx][0] - old.to_t[0],
-                    tt[fac.trait_idx][1] - old.to_t[1],
-                ];
-                ok &= norm2_log(&mut ct);
-
-                let mut to_s = [0.0f64; 4];
-                for (m, pair) in to_s.iter_mut().zip(tab.chunks_exact(2)).take(3) {
-                    *m = lse2(pair[0] + ct[0], pair[1] + ct[1]);
-                }
-                ok &= norm3_log(&mut to_s);
-                let mut to_t = [0.0f64; 2];
-                for (t, m) in to_t.iter_mut().enumerate() {
-                    *m = lse3(tab[t] + cs[0], tab[2 + t] + cs[1], tab[4 + t] + cs[2]);
-                }
-                ok &= norm2_log(&mut to_t);
-
-                if damping > 0.0 {
-                    for (m, &o) in to_s.iter_mut().zip(old.to_s.iter()).take(3) {
-                        *m = logmix(o, *m, ln_d, ln_1md);
-                    }
-                    for (m, &o) in to_t.iter_mut().zip(old.to_t.iter()) {
-                        *m = logmix(o, *m, ln_d, ln_1md);
-                    }
-                }
-                let mut d = 0.0f64;
-                for (&m, &o) in to_s.iter().zip(old.to_s.iter()).take(3) {
-                    d = d.max((m.exp() - o.exp()).abs());
-                }
-                for (&m, &o) in to_t.iter().zip(old.to_t.iter()) {
-                    d = d.max((m.exp() - o.exp()).abs());
-                }
-                *slot = FacMsg {
-                    to_s,
-                    to_t,
-                    resid: d,
-                    clean: ok,
-                };
-            });
-        }
-
-        // Kin pass: 3×3 transmission tables, both directions.
-        {
-            let km = &kmsg[..];
-            exec.par_fill(&mut nkmsg[..], BLOCK, |k, slot| {
-                let kf = &g.kin_factors[k];
-                let old = &km[k];
-                let tab = &lktab[k];
-                let mut ok = true;
-
-                let mut cp = [0.0f64; 4];
-                for ((c, &t), &o) in cp.iter_mut().zip(&st[kf.parent]).zip(&old.to_parent) {
-                    *c = t - o;
-                }
-                let mut cc = [0.0f64; 4];
-                for ((c, &t), &o) in cc.iter_mut().zip(&st[kf.child]).zip(&old.to_child) {
-                    *c = t - o;
-                }
-                ok &= norm3_log(&mut cp);
-                ok &= norm3_log(&mut cc);
-
-                // to child: lse over parents of T[p][c] + μ_{parent→k}(p)
-                let mut to_child = [0.0f64; 4];
-                for (c, m) in to_child.iter_mut().enumerate().take(3) {
-                    *m = lse3(tab[c] + cp[0], tab[4 + c] + cp[1], tab[8 + c] + cp[2]);
-                }
-                ok &= norm3_log(&mut to_child);
-                // to parent: lse over children of T[p][c] + μ_{child→k}(c)
-                let mut to_parent = [0.0f64; 4];
-                for (p, m) in to_parent.iter_mut().enumerate().take(3) {
-                    let row = p * 4;
-                    *m = lse3(tab[row] + cc[0], tab[row + 1] + cc[1], tab[row + 2] + cc[2]);
-                }
-                ok &= norm3_log(&mut to_parent);
-
-                if damping > 0.0 {
-                    for (m, &o) in to_parent.iter_mut().zip(&old.to_parent).take(3) {
-                        *m = logmix(o, *m, ln_d, ln_1md);
-                    }
-                    for (m, &o) in to_child.iter_mut().zip(&old.to_child).take(3) {
-                        *m = logmix(o, *m, ln_d, ln_1md);
-                    }
-                }
-                let mut d = 0.0f64;
-                for (&m, &o) in to_parent.iter().zip(&old.to_parent).take(3) {
-                    d = d.max((m.exp() - o.exp()).abs());
-                }
-                for (&m, &o) in to_child.iter().zip(&old.to_child).take(3) {
-                    d = d.max((m.exp() - o.exp()).abs());
-                }
-                *slot = KinMsg {
-                    to_parent,
-                    to_child,
-                    resid: d,
-                    clean: ok,
-                };
-            });
-        }
-
-        std::mem::swap(fmsg, nfmsg);
-        std::mem::swap(kmsg, nkmsg);
-        let mut delta = 0.0f64;
-        for m in fmsg.iter() {
-            delta = delta.max(m.resid);
-            clean &= m.clean;
-        }
-        for m in kmsg.iter() {
-            delta = delta.max(m.resid);
-            clean &= m.clean;
-        }
-
-        final_residual = delta;
-        ppdp_telemetry::counter("bp.messages_updated", 2 * (nf + nk) as u64);
+        out.sweeps = iter + 1;
+        let (delta, ok) = sweep();
+        out.clean &= ok;
+        out.final_residual = delta;
+        // Each sweep rewrites every factor→variable message: two per
+        // association factor and two per kin factor. The incremental
+        // engine reports the same metric.
+        ppdp_telemetry::counter("bp.messages_updated", updated);
         ppdp_telemetry::value("bp.sweep_residual", delta);
-        ppdp_telemetry::gauge("bp.round", sweeps as f64);
-        ppdp_trace::bp_round(sweeps as u64, delta, 2 * (nf + nk) as u64, (nf + nk) as u64);
+        ppdp_telemetry::gauge("bp.round", out.sweeps as f64);
+        ppdp_trace::bp_round(out.sweeps as u64, delta, updated, updated / 2);
         if let Some(verdict) = watchdog.observe(delta) {
             ppdp_telemetry::counter(&format!("watchdog.bp.{}", verdict.as_str()), 1);
             ppdp_trace::watchdog_event("bp", verdict.as_str(), watchdog.iteration());
         }
-        if !clean {
+        if !out.clean {
             break;
         }
         if delta < cfg.tol {
-            converged = true;
+            out.converged = true;
             break;
         }
     }
+    out
+}
 
-    // Beliefs: refresh the totals from the final messages, normalize in
-    // log space, exponentiate, and renormalize the (already ≈ 1) sums in
-    // linear space so marginals sum to 1 at f64 precision.
-    gather_totals(g, exec, fmsg, kmsg, lsnp_pot, ltrait_pot, stot, ttot);
-    let (st, tt) = (&stot[..], &ttot[..]);
-    let mut bclean = true;
-    let snp_marginals: Vec<[f64; 3]> = crate::bp::fold_flag(
+/// Kin-factor update in log space (both kernels): cavities at both
+/// endpoints from the pass-A totals, marginalization over the 3×3
+/// transmission table in both directions, damping, residual. Reads the
+/// factor's previous messages from `slot` and overwrites it.
+#[inline]
+fn kin_update(
+    kf: &KinFactor,
+    tab: &[f64; 16],
+    st: &[[f64; 4]],
+    slot: &mut KinMsg,
+    damping: f64,
+    ln_d: f64,
+    ln_1md: f64,
+) {
+    let old = *slot;
+    let mut ok = true;
+
+    let mut cp = [0.0f64; 4];
+    for ((c, &t), &o) in cp.iter_mut().zip(&st[kf.parent]).zip(&old.to_parent) {
+        *c = t - o;
+    }
+    let mut cc = [0.0f64; 4];
+    for ((c, &t), &o) in cc.iter_mut().zip(&st[kf.child]).zip(&old.to_child) {
+        *c = t - o;
+    }
+    ok &= norm3_log(&mut cp);
+    ok &= norm3_log(&mut cc);
+
+    // to child: lse over parents of T[p][c] + μ_{parent→k}(p)
+    let mut to_child = [0.0f64; 4];
+    for (c, m) in to_child.iter_mut().enumerate().take(3) {
+        *m = lse3(tab[c] + cp[0], tab[4 + c] + cp[1], tab[8 + c] + cp[2]);
+    }
+    ok &= norm3_log(&mut to_child);
+    // to parent: lse over children of T[p][c] + μ_{child→k}(c)
+    let mut to_parent = [0.0f64; 4];
+    for (p, m) in to_parent.iter_mut().enumerate().take(3) {
+        let row = p * 4;
+        *m = lse3(tab[row] + cc[0], tab[row + 1] + cc[1], tab[row + 2] + cc[2]);
+    }
+    ok &= norm3_log(&mut to_parent);
+
+    if damping > 0.0 {
+        for (m, &o) in to_parent.iter_mut().zip(&old.to_parent).take(3) {
+            *m = logmix(o, *m, ln_d, ln_1md);
+        }
+        for (m, &o) in to_child.iter_mut().zip(&old.to_child).take(3) {
+            *m = logmix(o, *m, ln_d, ln_1md);
+        }
+    }
+    let mut d = 0.0f64;
+    for (&m, &o) in to_parent.iter().zip(&old.to_parent).take(3) {
+        d = d.max((m.exp() - o.exp()).abs());
+    }
+    for (&m, &o) in to_child.iter().zip(&old.to_child).take(3) {
+        d = d.max((m.exp() - o.exp()).abs());
+    }
+    *slot = KinMsg {
+        to_parent,
+        to_child,
+        resid: d,
+        clean: ok,
+    };
+}
+
+/// Folds one sweep's per-factor residuals and clean flags.
+fn fold_sweep(facs: impl Iterator<Item = (f64, bool)>, kins: &[KinMsg]) -> (f64, bool) {
+    let mut delta = 0.0f64;
+    let mut clean = true;
+    for (resid, ok) in facs.chain(kins.iter().map(|m| (m.resid, m.clean))) {
+        delta = delta.max(resid);
+        clean &= ok;
+    }
+    (delta, clean)
+}
+
+/// Closes an attempt: beliefs from the final totals — normalized in log
+/// space, exponentiated, and renormalized in linear space so marginals
+/// sum to 1 at f64 precision. An observed variable's marginal is its
+/// evidence indicator exactly — the posterior of a clamped variable —
+/// rather than the `exp(LOG_FLOOR)` residue its floored lanes carry.
+fn beliefs(
+    g: &FactorGraph,
+    exec: ExecPolicy,
+    st: &[[f64; 4]],
+    tt: &[[f64; 2]],
+    run: Sweeps,
+) -> Attempt {
+    let mut clean = run.clean;
+    let snp_marginals = fold_flag(
         exec.par_map(g.n_snps(), |s| {
             let mut b = st[s];
             let ok = norm3_log(&mut b);
+            if let Some(i) = g.snp_evidence[s] {
+                return (indicator3(i), ok);
+            }
             let e = [b[0].exp(), b[1].exp(), b[2].exp()];
             let z = e[0] + e[1] + e[2];
             ([e[0] / z, e[1] / z, e[2] / z], ok)
         }),
-        &mut bclean,
+        &mut clean,
     );
-    let trait_marginals: Vec<[f64; 2]> = crate::bp::fold_flag(
+    let trait_marginals = fold_flag(
         exec.par_map(g.n_traits(), |t| {
             let mut b = tt[t];
             let ok = norm2_log(&mut b);
-            let e = [b[0].exp(), b[1].exp()];
-            let z = e[0] + e[1];
-            ([e[0] / z, e[1] / z], ok)
+            match g.trait_evidence[t] {
+                Some(true) => ([0.0, 1.0], ok),
+                Some(false) => ([1.0, 0.0], ok),
+                None => {
+                    let e = [b[0].exp(), b[1].exp()];
+                    let z = e[0] + e[1];
+                    ([e[0] / z, e[1] / z], ok)
+                }
+            }
         }),
-        &mut bclean,
+        &mut clean,
     );
-    clean &= bclean;
-
     Attempt {
         snp_marginals,
         trait_marginals,
-        sweeps,
-        converged: converged && clean,
-        final_residual,
+        sweeps: run.sweeps,
+        converged: run.converged && clean,
+        final_residual: run.final_residual,
         clean,
     }
 }
 
-/// Blocked/vectorized twin of [`log_attempt`]: the same fixed point and
-/// telemetry stream evaluated over the structure-of-arrays message
-/// planes ([`BpScratch::fs2s`] + [`BpScratch::fhalf`]) with quad-lane
-/// gather accumulators ([`gather4`]/[`gather2`]) and cache-tiled round
-/// scheduling (`cfg.tile`, default [`BLOCK`]). Marginals agree with the
-/// scalar kernel to ≲1e-12 per lane (the gathers reassociate) and are
-/// bitwise-identical across exec policies and tile sizes.
-pub(crate) fn log_attempt_blocked(
+/// Kin-factor contributions to SNP `s`'s pass-A total.
+#[inline]
+fn add_kin(g: &FactorGraph, km: &[KinMsg], s: usize, tot: &mut [f64; 4]) {
+    for &k in g.snp_kin_ids(s) {
+        let k = k as usize;
+        let m = if g.kin_factors[k].parent == s {
+            &km[k].to_parent
+        } else {
+            &km[k].to_child
+        };
+        add4(tot, m);
+    }
+}
+
+/// The production kernel: one message-passing attempt from fresh
+/// messages at the given damping, over the three in-place factor planes
+/// ([`BpScratch::fs2s`], [`BpScratch::fhalf`], [`BpScratch::fprob`])
+/// with quad-lane gathers ([`gather4`]/[`gather2`]) and cache-tiled
+/// round scheduling (`cfg.tile`, default [`BLOCK`]). Bitwise-identical
+/// across exec policies and tile sizes. Requires
+/// [`BpScratch::prepare`] to have run for `g`.
+pub(crate) fn attempt(
     cfg: &BpConfig,
     g: &FactorGraph,
     damping: f64,
@@ -903,64 +718,37 @@ pub(crate) fn log_attempt_blocked(
 ) -> Attempt {
     let nf = g.factors.len();
     let nk = g.kin_factors.len();
-    let exec = if nf + nk >= PAR_MIN_FACTORS {
-        cfg.exec
-    } else {
-        ExecPolicy::Sequential
-    };
+    let exec = sweep_exec(cfg, g);
     let tile = tile_size(cfg);
     let BpScratch {
-        lktab,
-        lsnp_pot,
-        ltrait_pot,
         fs2s,
-        nfs2s,
         fhalf,
-        nfhalf,
         fprob,
-        nfprob,
-        ptab,
         kmsg,
-        nkmsg,
+        lktab,
+        ltrait_pot,
         stot,
         ttot,
         log_ok,
         ..
     } = scratch;
-    let inputs_ok = *log_ok;
-    let (ptab, lktab) = (&ptab[..], &lktab[..]);
-    let (lsnp_pot, ltrait_pot) = (&lsnp_pot[..], &ltrait_pot[..]);
-    fs2s.clear();
-    fs2s.resize(nf, [0.0; 4]);
-    nfs2s.clear();
-    nfs2s.resize(nf, [0.0; 4]);
-    fhalf.clear();
-    fhalf.resize(nf, FacHalf::default());
-    nfhalf.clear();
-    nfhalf.resize(nf, FacHalf::default());
-    fprob.clear();
-    fprob.resize(nf, ProbMsg::default());
-    nfprob.clear();
-    nfprob.resize(nf, ProbMsg::default());
-    kmsg.clear();
-    kmsg.resize(nk, KinMsg::default());
-    nkmsg.clear();
-    nkmsg.resize(nk, KinMsg::default());
-    stot.clear();
-    stot.resize(g.n_snps(), [0.0; 4]);
-    ttot.clear();
-    ttot.resize(g.n_traits(), [0.0; 2]);
+    reset(fs2s, nf, [0.0; 4]);
+    reset(fhalf, nf, FacHalf::default());
+    reset(fprob, nf, ProbMsg::default());
+    reset(kmsg, nk, KinMsg::default());
+    reset(stot, g.n_snps(), [0.0; 4]);
+    reset(ttot, g.n_traits(), [0.0; 2]);
+    let (lktab, ltrait_pot) = (&lktab[..], &ltrait_pot[..]);
+    let (d, ln_d, ln_1md) = damping_weights(damping);
+    // Linear view of the log floor: every table entry is read through
+    // `max(pfloor)`, so zeros and poison screen exactly like the floored
+    // log lanes of the reference kernel.
+    let pfloor = LOG_FLOOR.exp();
 
-    let (ln_d, ln_1md) = if damping > 0.0 {
-        (damping.ln(), (1.0 - damping).ln())
-    } else {
-        (f64::NEG_INFINITY, 0.0)
-    };
-
-    // Tile/lane utilization, live registry only (the values are
-    // computed coordinator-side from the CSR shape, identical under
-    // every policy, but they are scheduling facts — not part of the
-    // kernel's semantic telemetry stream).
+    // Tile/lane utilization, live registry only (the values are computed
+    // coordinator-side from the CSR shape, identical under every policy,
+    // but they are scheduling facts — not part of the kernel's semantic
+    // telemetry stream).
     let tiles_per_sweep = (g.n_snps().div_ceil(tile)
         + g.n_traits().div_ceil(tile)
         + nf.div_ceil(tile)
@@ -974,299 +762,277 @@ pub(crate) fn log_attempt_blocked(
     ppdp_metrics::counter("bp.lane_quads", lane_quads);
     ppdp_metrics::counter("bp.lane_tail", lane_tail);
 
-    let mut sweeps = 0;
-    let mut converged = false;
-    let mut final_residual = f64::INFINITY;
-    let mut clean = inputs_ok;
-    let mut watchdog =
-        ppdp_trace::ConvergenceWatchdog::new(ppdp_trace::WatchdogConfig::with_tol(cfg.tol));
-
-    // Pass A over the SoA planes: quad-lane gathers per variable.
-    #[allow(clippy::too_many_arguments)]
-    fn gather_totals_blocked(
-        g: &FactorGraph,
-        exec: ExecPolicy,
-        tile: usize,
-        fs: &[[f64; 4]],
-        fh: &[FacHalf],
-        km: &[KinMsg],
-        lsnp_pot: &[[f64; 4]],
-        ltrait_pot: &[[f64; 2]],
-        stot: &mut [[f64; 4]],
-        ttot: &mut [[f64; 2]],
-    ) {
+    // Pass A over the planes: quad-lane gathers per variable.
+    let gather = |fs: &[[f64; 4]],
+                  fh: &[FacHalf],
+                  km: &[KinMsg],
+                  stot: &mut [[f64; 4]],
+                  ttot: &mut [[f64; 2]]| {
         exec.par_fill(stot, tile, |s, slot| {
-            let mut tot = gather4(lsnp_pot[s], g.snp_factor_ids(s), fs);
-            for &k in g.snp_kin_ids(s) {
-                let k = k as usize;
-                let m = if g.kin_factors[k].parent == s {
-                    &km[k].to_parent
-                } else {
-                    &km[k].to_child
-                };
-                add4(&mut tot, m);
-            }
+            let mut tot = gather4(lsnp_pot(g.snp_evidence[s]), g.snp_factor_ids(s), fs);
+            add_kin(g, km, s, &mut tot);
             *slot = tot;
         });
         exec.par_fill(ttot, tile, |t, slot| {
             *slot = gather2(ltrait_pot[t], g.trait_factor_ids(t), fh);
         });
-    }
+    };
 
-    ppdp_telemetry::target("bp.rounds", cfg.max_iters as f64);
-    for iter in 0..cfg.max_iters {
-        sweeps = iter + 1;
+    let run = iterate(cfg, g, *log_ok, || {
         ppdp_metrics::counter("bp.tiles_swept", tiles_per_sweep);
-        gather_totals_blocked(
-            g, exec, tile, fs2s, fhalf, kmsg, lsnp_pot, ltrait_pot, stot, ttot,
-        );
+        gather(fs2s, fhalf, kmsg, stot, ttot);
         let (st, tt) = (&stot[..], &ttot[..]);
 
-        // Pass B: per-factor cavity + update in one tiled schedule over
-        // all three planes. The cavity is exponentiated once (with the
-        // max subtracted, like `lse`), after which marginalization over
-        // the floored linear tables, damping against the probability
-        // shadow, and the residual are pure mul/add — the same fixed
-        // point as the scalar kernel's log-sum-exp update, agreeing to
-        // ≲1e-12 per lane since every message renormalizes per hop.
-        {
-            let (fs, fh, fp) = (&fs2s[..], &fhalf[..], &fprob[..]);
-            exec.par_zip_fill3(
-                &mut nfs2s[..],
-                &mut nfhalf[..],
-                &mut nfprob[..],
-                tile,
-                |f, s_slot, h_slot, p_slot| {
-                    let fac = &g.factors[f];
-                    let old_ls = &fs[f];
-                    let old_lt = &fh[f].to_t;
-                    let old_p = &fp[f];
-                    let tab = &ptab[f];
-                    let mut ok = true;
+        // Pass B: per-factor cavity + update, in place. The cavity is
+        // exponentiated once (with the max subtracted, like `lse`), after
+        // which marginalization over the floored linear tables, damping
+        // against the probability copy, and the residual are pure
+        // mul/add — the same fixed point as the reference kernel's
+        // log-sum-exp update, agreeing to ≲1e-12 per lane since every
+        // message renormalizes per hop.
+        exec.par_zip_fill3(fs2s, fhalf, fprob, tile, |f, ls, half, prob| {
+            let fac = &g.factors[f];
+            let mut ok = true;
 
-                    // Cavity at the SNP, exponentiated and normalized in
-                    // linear space. The max lane contributes exp(0) = 1,
-                    // so the normalizer zs ∈ [1, 3] — finite and positive
-                    // whenever the inputs are, exactly the cases where
-                    // the scalar `norm3_log` succeeds.
-                    let stv = &st[fac.snp];
-                    let c = [stv[0] - old_ls[0], stv[1] - old_ls[1], stv[2] - old_ls[2]];
-                    let m = c[0].max(c[1]).max(c[2]);
-                    let cs = if m.is_finite() {
-                        let e = [(c[0] - m).exp(), (c[1] - m).exp(), (c[2] - m).exp()];
-                        let zs = e[0] + e[1] + e[2];
-                        [e[0] / zs, e[1] / zs, e[2] / zs]
-                    } else {
-                        ppdp_telemetry::counter("bp.renormalized", 1);
-                        ok = false;
-                        [1.0 / 3.0; 3]
-                    };
-                    let ct0 = tt[fac.trait_idx][0] - old_lt[0];
-                    let ct1 = tt[fac.trait_idx][1] - old_lt[1];
-                    let mt = ct0.max(ct1);
-                    let ct = if mt.is_finite() {
-                        let e = [(ct0 - mt).exp(), (ct1 - mt).exp()];
-                        let zt = e[0] + e[1];
-                        [e[0] / zt, e[1] / zt]
-                    } else {
-                        ppdp_telemetry::counter("bp.renormalized", 1);
-                        ok = false;
-                        [0.5; 2]
-                    };
+            // Cavity at the SNP, exponentiated and normalized in linear
+            // space. The max lane contributes exp(0) = 1, so the
+            // normalizer lies in [1, 3] — finite and positive whenever
+            // the inputs are.
+            let stv = &st[fac.snp];
+            let c = [stv[0] - ls[0], stv[1] - ls[1], stv[2] - ls[2]];
+            let m = c[0].max(c[1]).max(c[2]);
+            let cs = if m.is_finite() {
+                let e = [(c[0] - m).exp(), (c[1] - m).exp(), (c[2] - m).exp()];
+                let zs = e[0] + e[1] + e[2];
+                [e[0] / zs, e[1] / zs, e[2] / zs]
+            } else {
+                ppdp_telemetry::counter("bp.renormalized", 1);
+                ok = false;
+                [1.0 / 3.0; 3]
+            };
+            let ct0 = tt[fac.trait_idx][0] - half.to_t[0];
+            let ct1 = tt[fac.trait_idx][1] - half.to_t[1];
+            let mt = ct0.max(ct1);
+            let ct = if mt.is_finite() {
+                let e = [(ct0 - mt).exp(), (ct1 - mt).exp()];
+                let zt = e[0] + e[1];
+                [e[0] / zt, e[1] / zt]
+            } else {
+                ppdp_telemetry::counter("bp.renormalized", 1);
+                ok = false;
+                [0.5; 2]
+            };
 
-                    // Marginalize over the linear tables. Every ptab lane
-                    // is ≥ exp(LOG_FLOOR) > 0 and each cavity's max lane
-                    // is ≥ 1/width, so the sums stay strictly positive —
-                    // a non-finite normalizer can only come from poisoned
-                    // inputs, the same cases the scalar kernel repairs.
-                    let mut ps = [0.0f64; 4];
-                    for (m, pair) in ps.iter_mut().zip(tab.chunks_exact(2)).take(3) {
-                        *m = pair[0] * ct[0] + pair[1] * ct[1];
-                    }
-                    let zs = ps[0] + ps[1] + ps[2];
-                    if zs.is_finite() && zs > 0.0 {
-                        ps[0] /= zs;
-                        ps[1] /= zs;
-                        ps[2] /= zs;
-                    } else {
-                        ppdp_telemetry::counter("bp.renormalized", 1);
-                        ok = false;
-                        ps = [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0];
-                    }
-                    let mut pt = [0.0f64; 2];
-                    for (t, m) in pt.iter_mut().enumerate() {
-                        *m = tab[t] * cs[0] + tab[2 + t] * cs[1] + tab[4 + t] * cs[2];
-                    }
-                    let zt = pt[0] + pt[1];
-                    if zt.is_finite() && zt > 0.0 {
-                        pt[0] /= zt;
-                        pt[1] /= zt;
-                    } else {
-                        ppdp_telemetry::counter("bp.renormalized", 1);
-                        ok = false;
-                        pt = [0.5; 2];
-                    }
+            // Marginalize over the floored tables. Every entry is ≥
+            // exp(LOG_FLOOR) > 0 and each cavity's max lane is ≥
+            // 1/width, so the sums stay strictly positive — a non-finite
+            // normalizer can only come from poisoned inputs.
+            let tab = fac.table.map(|row| row.map(|x| x.max(pfloor)));
+            let mut ps = [0.0f64; 4];
+            for (m, row) in ps.iter_mut().zip(&tab) {
+                *m = row[0] * ct[0] + row[1] * ct[1];
+            }
+            let zs = ps[0] + ps[1] + ps[2];
+            if zs.is_finite() && zs > 0.0 {
+                ps[0] /= zs;
+                ps[1] /= zs;
+                ps[2] /= zs;
+            } else {
+                ppdp_telemetry::counter("bp.renormalized", 1);
+                ok = false;
+                ps = [1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0, 0.0];
+            }
+            let mut pt = [0.0f64; 2];
+            for (t, m) in pt.iter_mut().enumerate() {
+                *m = tab[0][t] * cs[0] + tab[1][t] * cs[1] + tab[2][t] * cs[2];
+            }
+            let zt = pt[0] + pt[1];
+            if zt.is_finite() && zt > 0.0 {
+                pt[0] /= zt;
+                pt[1] /= zt;
+            } else {
+                ppdp_telemetry::counter("bp.renormalized", 1);
+                ok = false;
+                pt = [0.5; 2];
+            }
 
-                    if damping > 0.0 {
-                        for (m, &o) in ps.iter_mut().zip(&old_p.ps).take(3) {
-                            *m = damping * o + (1.0 - damping) * *m;
-                        }
-                        for (m, &o) in pt.iter_mut().zip(&old_p.pt) {
-                            *m = damping * o + (1.0 - damping) * *m;
-                        }
-                    }
-                    let mut d = 0.0f64;
-                    for (&m, &o) in ps.iter().zip(&old_p.ps).take(3) {
-                        d = d.max((m - o).abs());
-                    }
-                    for (&m, &o) in pt.iter().zip(&old_p.pt) {
-                        d = d.max((m - o).abs());
-                    }
-
-                    // Store the log view for pass A's gathers, floored
-                    // exactly like the scalar kernel's stored lanes.
-                    let to_s = [
-                        ps[0].ln().max(LOG_FLOOR),
-                        ps[1].ln().max(LOG_FLOOR),
-                        ps[2].ln().max(LOG_FLOOR),
-                        0.0,
-                    ];
-                    let to_t = [pt[0].ln().max(LOG_FLOOR), pt[1].ln().max(LOG_FLOOR)];
-                    *s_slot = to_s;
-                    *h_slot = FacHalf {
-                        to_t,
-                        resid: d,
-                        clean: ok,
-                    };
-                    *p_slot = ProbMsg { ps, pt };
-                },
-            );
-        }
-
-        // Kin pass: unchanged AoS layout (kin counts are tiny next to
-        // association factors), tiled like everything else.
-        {
-            let km = &kmsg[..];
-            exec.par_fill(&mut nkmsg[..], tile, |k, slot| {
-                let kf = &g.kin_factors[k];
-                let old = &km[k];
-                let tab = &lktab[k];
-                let mut ok = true;
-
-                let mut cp = [0.0f64; 4];
-                for ((c, &t), &o) in cp.iter_mut().zip(&st[kf.parent]).zip(&old.to_parent) {
-                    *c = t - o;
+            if d > 0.0 {
+                for (m, &o) in ps.iter_mut().zip(&prob.ps).take(3) {
+                    *m = d * o + (1.0 - d) * *m;
                 }
-                let mut cc = [0.0f64; 4];
-                for ((c, &t), &o) in cc.iter_mut().zip(&st[kf.child]).zip(&old.to_child) {
-                    *c = t - o;
+                for (m, &o) in pt.iter_mut().zip(&prob.pt) {
+                    *m = d * o + (1.0 - d) * *m;
                 }
-                ok &= norm3_log(&mut cp);
-                ok &= norm3_log(&mut cc);
+            }
+            let mut resid = 0.0f64;
+            for (&m, &o) in ps.iter().zip(&prob.ps).take(3) {
+                resid = resid.max((m - o).abs());
+            }
+            for (&m, &o) in pt.iter().zip(&prob.pt) {
+                resid = resid.max((m - o).abs());
+            }
 
-                let mut to_child = [0.0f64; 4];
-                for (c, m) in to_child.iter_mut().enumerate().take(3) {
-                    *m = lse3(tab[c] + cp[0], tab[4 + c] + cp[1], tab[8 + c] + cp[2]);
-                }
-                ok &= norm3_log(&mut to_child);
-                let mut to_parent = [0.0f64; 4];
-                for (p, m) in to_parent.iter_mut().enumerate().take(3) {
-                    let row = p * 4;
-                    *m = lse3(tab[row] + cc[0], tab[row + 1] + cc[1], tab[row + 2] + cc[2]);
-                }
-                ok &= norm3_log(&mut to_parent);
+            // Store the log view for pass A's gathers, floored like the
+            // reference kernel's stored lanes.
+            *ls = [
+                ps[0].ln().max(LOG_FLOOR),
+                ps[1].ln().max(LOG_FLOOR),
+                ps[2].ln().max(LOG_FLOOR),
+                0.0,
+            ];
+            *half = FacHalf {
+                to_t: [pt[0].ln().max(LOG_FLOOR), pt[1].ln().max(LOG_FLOOR)],
+                resid,
+                clean: ok,
+            };
+            *prob = ProbMsg { ps, pt };
+        });
 
-                if damping > 0.0 {
-                    for (m, &o) in to_parent.iter_mut().zip(&old.to_parent).take(3) {
-                        *m = logmix(o, *m, ln_d, ln_1md);
-                    }
-                    for (m, &o) in to_child.iter_mut().zip(&old.to_child).take(3) {
-                        *m = logmix(o, *m, ln_d, ln_1md);
-                    }
-                }
-                let mut d = 0.0f64;
-                for (&m, &o) in to_parent.iter().zip(&old.to_parent).take(3) {
-                    d = d.max((m.exp() - o.exp()).abs());
-                }
-                for (&m, &o) in to_child.iter().zip(&old.to_child).take(3) {
-                    d = d.max((m.exp() - o.exp()).abs());
-                }
-                *slot = KinMsg {
-                    to_parent,
-                    to_child,
-                    resid: d,
-                    clean: ok,
-                };
-            });
-        }
+        // Kin pass: AoS layout (kin counts are tiny next to association
+        // factors), tiled like everything else.
+        exec.par_fill(kmsg, tile, |k, slot| {
+            kin_update(&g.kin_factors[k], &lktab[k], st, slot, d, ln_d, ln_1md);
+        });
+        fold_sweep(fhalf.iter().map(|h| (h.resid, h.clean)), kmsg)
+    });
 
-        std::mem::swap(fs2s, nfs2s);
-        std::mem::swap(fhalf, nfhalf);
-        std::mem::swap(fprob, nfprob);
-        std::mem::swap(kmsg, nkmsg);
-        let mut delta = 0.0f64;
-        for h in fhalf.iter() {
-            delta = delta.max(h.resid);
-            clean &= h.clean;
-        }
-        for m in kmsg.iter() {
-            delta = delta.max(m.resid);
-            clean &= m.clean;
-        }
+    gather(fs2s, fhalf, kmsg, stot, ttot);
+    beliefs(g, exec, stot, ttot, run)
+}
 
-        final_residual = delta;
-        ppdp_telemetry::counter("bp.messages_updated", 2 * (nf + nk) as u64);
-        ppdp_telemetry::value("bp.sweep_residual", delta);
-        ppdp_telemetry::gauge("bp.round", sweeps as f64);
-        ppdp_trace::bp_round(sweeps as u64, delta, 2 * (nf + nk) as u64, (nf + nk) as u64);
-        if let Some(verdict) = watchdog.observe(delta) {
-            ppdp_telemetry::counter(&format!("watchdog.bp.{}", verdict.as_str()), 1);
-            ppdp_trace::watchdog_event("bp", verdict.as_str(), watchdog.iteration());
-        }
-        if !clean {
-            break;
-        }
-        if delta < cfg.tol {
-            converged = true;
-            break;
+/// Floored log view of one association table, `[g*2 + t]`.
+fn log_table(table: &[[f64; 2]; 3]) -> [f64; 8] {
+    let mut lanes = [LOG_FLOOR; 8];
+    for (gi, row) in table.iter().enumerate() {
+        for (t, &x) in row.iter().enumerate() {
+            lanes[gi * 2 + t] = ln_lane(x);
         }
     }
+    lanes
+}
 
-    gather_totals_blocked(
-        g, exec, tile, fs2s, fhalf, kmsg, lsnp_pot, ltrait_pot, stot, ttot,
-    );
-    let (st, tt) = (&stot[..], &ttot[..]);
-    let mut bclean = true;
-    let snp_marginals: Vec<[f64; 3]> = crate::bp::fold_flag(
-        exec.par_map(g.n_snps(), |s| {
-            let mut b = st[s];
-            let ok = norm3_log(&mut b);
-            let e = [b[0].exp(), b[1].exp(), b[2].exp()];
-            let z = e[0] + e[1] + e[2];
-            ([e[0] / z, e[1] / z, e[2] / z], ok)
-        }),
-        &mut bclean,
-    );
-    let trait_marginals: Vec<[f64; 2]> = crate::bp::fold_flag(
-        exec.par_map(g.n_traits(), |t| {
-            let mut b = tt[t];
-            let ok = norm2_log(&mut b);
-            let e = [b[0].exp(), b[1].exp()];
-            let z = e[0] + e[1];
-            ([e[0] / z, e[1] / z], ok)
-        }),
-        &mut bclean,
-    );
-    clean &= bclean;
+/// The scalar reference kernel: the same fixed point, sweep schedule
+/// (synchronous updates from the previous sweep's messages), residual
+/// semantics (max absolute *probability* change), telemetry stream and
+/// restart/degradation contract as [`attempt`], computed
+/// with plain per-factor log-sum-exp updates and sequential gathers. It
+/// exists as the differential oracle of the blocked kernel and is
+/// reachable only through [`crate::BpConfig::run_reference`]. Requires
+/// [`BpScratch::prepare`] to have run for `g`.
+pub(crate) fn reference_attempt(
+    cfg: &BpConfig,
+    g: &FactorGraph,
+    damping: f64,
+    scratch: &mut BpScratch,
+) -> Attempt {
+    let exec = sweep_exec(cfg, g);
+    let ltab: Vec<[f64; 8]> = g.factors.iter().map(|f| log_table(&f.table)).collect();
+    let BpScratch {
+        fmsg,
+        kmsg,
+        lktab,
+        ltrait_pot,
+        stot,
+        ttot,
+        log_ok,
+        ..
+    } = scratch;
+    reset(fmsg, g.factors.len(), FacMsg::default());
+    reset(kmsg, g.kin_factors.len(), KinMsg::default());
+    reset(stot, g.n_snps(), [0.0; 4]);
+    reset(ttot, g.n_traits(), [0.0; 2]);
+    let (lktab, ltrait_pot) = (&lktab[..], &ltrait_pot[..]);
+    let (d, ln_d, ln_1md) = damping_weights(damping);
 
-    Attempt {
-        snp_marginals,
-        trait_marginals,
-        sweeps,
-        converged: converged && clean,
-        final_residual,
-        clean,
-    }
+    // Pass A: per-variable incoming totals (potential + every incident
+    // message). Totals make the per-factor cavity a branch-free
+    // subtraction in pass B instead of a skip-one gather per edge.
+    let gather = |fm: &[FacMsg], km: &[KinMsg], stot: &mut [[f64; 4]], ttot: &mut [[f64; 2]]| {
+        exec.par_fill(stot, BLOCK, |s, slot| {
+            let mut tot = lsnp_pot(g.snp_evidence[s]);
+            for &f in g.snp_factor_ids(s) {
+                add4(&mut tot, &fm[f as usize].to_s);
+            }
+            add_kin(g, km, s, &mut tot);
+            *slot = tot;
+        });
+        exec.par_fill(ttot, BLOCK, |t, slot| {
+            let mut tot = ltrait_pot[t];
+            for &f in g.trait_factor_ids(t) {
+                add2(&mut tot, &fm[f as usize].to_t);
+            }
+            *slot = tot;
+        });
+    };
+
+    let run = iterate(cfg, g, *log_ok, || {
+        gather(fmsg, kmsg, stot, ttot);
+        let (st, tt) = (&stot[..], &ttot[..]);
+
+        // Pass B: per-factor cavity + update (Eqs. 5.5/5.6 in log
+        // space), in place — each slot reads only its own previous
+        // messages and the totals.
+        exec.par_fill(fmsg, BLOCK, |f, slot| {
+            let fac = &g.factors[f];
+            let old = *slot;
+            let tab = &ltab[f];
+            let mut ok = true;
+
+            // Cavity at the SNP = this factor's variable→factor message
+            // (Eq. 5.3), normalized.
+            let mut cs = [0.0f64; 4];
+            for ((c, &t), &o) in cs.iter_mut().zip(&st[fac.snp]).zip(&old.to_s) {
+                *c = t - o;
+            }
+            ok &= norm3_log(&mut cs);
+            let mut ct = [
+                tt[fac.trait_idx][0] - old.to_t[0],
+                tt[fac.trait_idx][1] - old.to_t[1],
+            ];
+            ok &= norm2_log(&mut ct);
+
+            let mut to_s = [0.0f64; 4];
+            for (m, pair) in to_s.iter_mut().zip(tab.chunks_exact(2)).take(3) {
+                *m = lse2(pair[0] + ct[0], pair[1] + ct[1]);
+            }
+            ok &= norm3_log(&mut to_s);
+            let mut to_t = [0.0f64; 2];
+            for (t, m) in to_t.iter_mut().enumerate() {
+                *m = lse3(tab[t] + cs[0], tab[2 + t] + cs[1], tab[4 + t] + cs[2]);
+            }
+            ok &= norm2_log(&mut to_t);
+
+            if d > 0.0 {
+                for (m, &o) in to_s.iter_mut().zip(old.to_s.iter()).take(3) {
+                    *m = logmix(o, *m, ln_d, ln_1md);
+                }
+                for (m, &o) in to_t.iter_mut().zip(old.to_t.iter()) {
+                    *m = logmix(o, *m, ln_d, ln_1md);
+                }
+            }
+            let mut resid = 0.0f64;
+            for (&m, &o) in to_s.iter().zip(old.to_s.iter()).take(3) {
+                resid = resid.max((m.exp() - o.exp()).abs());
+            }
+            for (&m, &o) in to_t.iter().zip(old.to_t.iter()) {
+                resid = resid.max((m.exp() - o.exp()).abs());
+            }
+            *slot = FacMsg {
+                to_s,
+                to_t,
+                resid,
+                clean: ok,
+            };
+        });
+
+        exec.par_fill(kmsg, BLOCK, |k, slot| {
+            kin_update(&g.kin_factors[k], &lktab[k], st, slot, d, ln_d, ln_1md);
+        });
+        fold_sweep(fmsg.iter().map(|m| (m.resid, m.clean)), kmsg)
+    });
+
+    gather(fmsg, kmsg, stot, ttot);
+    beliefs(g, exec, stot, ttot, run)
 }
 
 #[cfg(test)]

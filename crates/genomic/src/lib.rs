@@ -12,10 +12,11 @@
 //! * [`bp`] — sum-product belief propagation (the linear-complexity
 //!   inference attack of §5.4);
 //! * [`incremental`] — warm-start, residual-scheduled BP with journaled
-//!   trials, the engine behind the greedy sanitization delta oracles;
-//! * [`kernels`] — log-domain, flat-slice BP message kernels (the
-//!   underflow-immune twin of [`bp`] selected via
-//!   [`kernels::MessageDomain`]) plus the reusable message arenas;
+//!   trials and linear-domain messages, the engine behind the greedy
+//!   sanitization delta oracles;
+//! * [`kernels`] — the log-domain, flat-slice message kernels behind
+//!   [`bp`] (underflow-immune at hub variables) plus the reusable message
+//!   arenas;
 //! * [`exhaustive`] — the exponential-cost joint-enumeration baseline the
 //!   paper's headline claim compares against (Eq. 5.1);
 //! * [`nb`] — the Naive Bayes attacker baseline of Fig. 5.2(b);
@@ -52,7 +53,7 @@ pub use catalog::{Association, GwasCatalog, TraitInfo};
 pub use exhaustive::exhaustive_marginals;
 pub use factor_graph::{Evidence, FactorGraph};
 pub use incremental::{IncrementalBp, RefreshOutcome};
-pub use kernels::{logsumexp, lse2, lse3, BpScratch, KernelVariant, MessageDomain, LOG_FLOOR};
+pub use kernels::{logsumexp, lse2, lse3, BpScratch, LOG_FLOOR};
 pub use kinship::{
     build_family_graph, kin_attack, kin_greedy_sanitize, Family, FamilyIndex, KinTarget,
 };

@@ -189,10 +189,10 @@ pub fn greedy_sanitize(
 /// Every probe builds the factor graph and runs the attacker from
 /// scratch, and the whole pick order up to `max_removals` is computed
 /// before the δ stop cuts it. It is the sanitizer for the Naive Bayes
-/// attacker and for a [`crate::MessageDomain::Log`] BP attacker (the
-/// incremental engine is linear-only), and the differential reference
-/// for [`greedy_sanitize_incremental`], which makes the same picks with
-/// one graph build and stops its search at δ.
+/// attacker and for graphs the linear incremental engine cannot
+/// represent, and the differential reference for
+/// [`greedy_sanitize_incremental`], which makes the same picks with one
+/// graph build and stops its search at δ.
 ///
 /// # Errors
 /// Same contract as [`greedy_sanitize`].
@@ -327,6 +327,9 @@ struct GputOracle<'a> {
     /// instead of a warm refresh — the strict reference mode.
     strict: bool,
     all_converged: bool,
+    /// False once any refresh needed message repair: the linear engine
+    /// could not represent the graph (see [`IncrementalBp::is_clean`]).
+    all_clean: bool,
     probes: u64,
     /// `(min privacy level, mean estimation error)` after each commit, in
     /// commit order — the Fig. 5.2 trajectory, recorded for free while the
@@ -342,6 +345,7 @@ impl GputOracle<'_> {
             self.engine.refresh()
         };
         self.all_converged &= out.converged;
+        self.all_clean &= out.clean;
     }
 
     /// Privacy level of one target, arithmetic-identical to
@@ -455,9 +459,14 @@ impl DeltaOracle for GputOracle<'_> {
 /// are δ-private. Marginals (and hence privacy trajectories) agree with
 /// the from-scratch pipeline to within the BP tolerance rather than
 /// bitwise. This is the path `GenomePublisher::publish` takes for the
-/// default linear-domain attacker. The engine's message arenas are
-/// linear-only, so a [`crate::MessageDomain::Log`] `cfg` is refused (use
-/// [`greedy_sanitize_with`] for a log-domain attacker).
+/// belief-propagation attacker.
+///
+/// The engine keeps linear-domain messages, which underflow at a
+/// variable of degree ≳ 1100 (a hub trait). When any refresh needs
+/// message repair ([`IncrementalBp::is_clean`] turns `false`), the
+/// engine's answers cannot be trusted, and the search reruns as
+/// [`greedy_sanitize_with`] on the log-domain kernel of
+/// [`BpConfig::run`]: the outcome is then that function's, bit for bit.
 ///
 /// `exec` drives the engine's dirty-set fan-out (and is forwarded to the
 /// solver); the result is bitwise-identical for every policy.
@@ -468,8 +477,7 @@ impl DeltaOracle for GputOracle<'_> {
 /// `predictor_converged` instead.
 ///
 /// # Errors
-/// Same contract as [`greedy_sanitize`], plus
-/// [`PpdpError::InvalidInput`] for a log-domain `cfg`.
+/// Same contract as [`greedy_sanitize`].
 pub fn greedy_sanitize_incremental(
     exec: ExecPolicy,
     catalog: &GwasCatalog,
@@ -588,7 +596,8 @@ pub fn sanitize_checkpoint_key(
 ///
 /// # Errors
 /// As [`greedy_sanitize_incremental`]; checkpoint I/O failures surface
-/// as [`PpdpError::Io`].
+/// as [`PpdpError::Io`]. A graph the linear engine cannot represent is
+/// [`PpdpError::InvalidInput`]: its log-domain fallback has no journal.
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_sanitize_checkpointed(
     exec: ExecPolicy,
@@ -629,11 +638,59 @@ fn sanitize_incremental_impl(
     catalog.validate()?;
     evidence.validate_against(catalog)?;
     cfg.exec = exec;
+    if let Some(out) = engine_search(
+        catalog,
+        evidence,
+        targets,
+        delta,
+        max_removals,
+        cfg,
+        strict,
+        ckpt,
+    )? {
+        return Ok(out);
+    }
+    // The linear engine needed message repair — a variable whose incoming
+    // message product underflows, such as a hub trait of degree ≳ 1100.
+    // Its marginals would be wrong, so the search reruns on the
+    // log-domain kernel, which represents the graph exactly. That path
+    // has no pick journal to resume from.
+    ppdp_errors::ensure(
+        ckpt.is_none(),
+        "checkpointed sanitization needs the incremental engine, whose \
+         linear-domain messages cannot represent this graph (message \
+         products underflow); use publish without a checkpoint store",
+    )?;
+    greedy_sanitize_with(
+        exec,
+        catalog,
+        evidence,
+        targets,
+        delta,
+        max_removals,
+        Predictor::BeliefPropagation(cfg),
+    )
+}
+
+/// The engine-backed greedy search of [`sanitize_incremental_impl`].
+/// `Ok(None)` when a refresh needed message repair, i.e. the linear
+/// engine cannot represent the graph.
+#[allow(clippy::too_many_arguments)]
+fn engine_search(
+    catalog: &GwasCatalog,
+    evidence: &Evidence,
+    targets: &[Target],
+    delta: f64,
+    max_removals: usize,
+    cfg: BpConfig,
+    strict: bool,
+    ckpt: Option<(&CheckpointStore, &str)>,
+) -> Result<Option<SanitizeOutcome>> {
+    let exec = cfg.exec;
     let audit = ppdp_telemetry::Recorder::new();
     let audit_scope = audit.enter();
     let span = ppdp_telemetry::span("sanitize.greedy");
-    // The engine refuses a log-domain `cfg` before any BP work is done.
-    let mut engine = IncrementalBp::new(FactorGraph::build(catalog, evidence)?, cfg)?;
+    let mut engine = IncrementalBp::new(FactorGraph::build(catalog, evidence)?, cfg);
     let candidates = candidate_snps(catalog, evidence, targets);
 
     // Attacker's baseline belief (no SNP evidence at all), computed once.
@@ -676,6 +733,9 @@ fn sanitize_incremental_impl(
         .collect::<Result<Vec<_>>>()?;
 
     let init = engine.refresh(); // everything dirty: the one full pass
+    if !init.clean {
+        return Ok(None);
+    }
 
     let mut oracle = GputOracle {
         engine,
@@ -685,6 +745,7 @@ fn sanitize_incremental_impl(
         current: 0.0,
         strict,
         all_converged: init.converged,
+        all_clean: true,
         probes: 0,
         trajectory: Vec::new(),
     };
@@ -780,17 +841,20 @@ fn sanitize_incremental_impl(
     drop(span);
     drop(audit_scope);
     let report = audit.take();
+    if !oracle.all_clean {
+        return Ok(None);
+    }
     let predictor_converged = oracle.all_converged && report.counter("bp.nonconverged") == 0;
     let predictor_degraded = report.counter("degraded.bp") > 0;
 
-    Ok(SanitizeOutcome {
+    Ok(Some(SanitizeOutcome {
         removed: taken.into_iter().map(|i| candidates[i]).collect(),
         history,
         error_history,
         satisfied,
         predictor_converged,
         predictor_degraded,
-    })
+    }))
 }
 
 fn mean_error(

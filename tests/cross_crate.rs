@@ -226,3 +226,51 @@ fn bp_extracts_at_least_as_much_signal_as_naive_bayes() {
         "BP attacker uncertainty ({bp_total}) should not exceed NB's ({nb_total}) by much"
     );
 }
+
+/// `FactorGraph::build` interns ids through dense tables indexed by
+/// global id. Its output must equal that of the first-occurrence map
+/// interner it replaced, on the golden fixtures and the `bp_scale`
+/// benchmark catalog.
+#[test]
+fn dense_interning_matches_the_map_interner() {
+    use ppdp::datagen::gwas::{scaled_catalog, synthetic_catalog};
+    use ppdp::genomic::genotype_given_trait;
+    use std::collections::BTreeMap;
+    for catalog in [
+        synthetic_catalog(40, 4, 1, 7),
+        synthetic_catalog(60, 5, 2, 11),
+        scaled_catalog(18_000, 1_000, 2, 1),
+    ] {
+        let g = FactorGraph::build(&catalog, &Evidence::none()).unwrap();
+        let mut snp_index = BTreeMap::new();
+        let mut trait_index = BTreeMap::new();
+        let (mut snps, mut traits) = (Vec::new(), Vec::new());
+        for a in catalog.associations() {
+            snp_index.entry(a.snp).or_insert_with(|| {
+                snps.push(a.snp);
+                snps.len() - 1
+            });
+            trait_index.entry(a.trait_id).or_insert_with(|| {
+                traits.push(a.trait_id);
+                traits.len() - 1
+            });
+        }
+        assert_eq!(g.snp_ids, snps);
+        assert_eq!(g.trait_ids, traits);
+        assert_eq!(g.factors.len(), catalog.associations().len());
+        for (f, a) in g.factors.iter().zip(catalog.associations()) {
+            assert_eq!(
+                (f.snp, f.trait_idx),
+                (snp_index[&a.snp], trait_index[&a.trait_id])
+            );
+            for gt in Genotype::ALL {
+                for (t, present) in [(0, false), (1, true)] {
+                    assert_eq!(
+                        f.table[gt.index()][t].to_bits(),
+                        genotype_given_trait(a, gt, present).to_bits()
+                    );
+                }
+            }
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! Golden-value regression suite: pins the numeric outputs of the four
-//! inference/sanitization kernels to checked-in JSON snapshots.
+//! inference/sanitization kernels to JSON snapshots in `tests/golden/`.
 //!
 //! Every snapshot is rendered by hand with `format!` into a canonical JSON
 //! string (floats via Rust's shortest-round-trip `{:?}`, so the pin is
@@ -9,6 +9,13 @@
 //! ```text
 //! PPDP_REGEN_GOLDEN=1 cargo test -p ppdp --test golden
 //! ```
+//!
+//! Two checked-in snapshots are frozen records instead:
+//! `bp_marginals.json` and `greedy_picks.json` were minted by the
+//! linear-domain BP kernel, which no longer exists. The log-domain kernel
+//! that replaced it is compared against them within 1e-9 (regeneration
+//! never rewrites them), and pinned bitwise by its own bootstrapped
+//! snapshots (`*_log.json`, see [`check_golden_bootstrap`]).
 //!
 //! Each kernel is evaluated under `ExecPolicy::Sequential` *and*
 //! `ExecPolicy::parallel(4)` against the same snapshot — the goldens double
@@ -20,10 +27,12 @@ use ppdp::datagen::social::caltech_like;
 use ppdp::exec::ExecPolicy;
 use ppdp::genomic::sanitize::Predictor;
 use ppdp::genomic::sanitize::Target;
-use ppdp::genomic::MessageDomain;
-use ppdp::genomic::{greedy_sanitize_with, BpConfig, Evidence, FactorGraph, Genotype};
+use ppdp::genomic::{
+    greedy_sanitize_with, BpConfig, BpResult, Evidence, FactorGraph, Genotype, IncrementalBp,
+};
 use ppdp::genomic::{SnpId, TraitId};
 use ppdp::publish::{DpPublisher, GenomePublisher};
+use ppdp::trace::json::JsonValue;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -89,38 +98,93 @@ fn json_floats(xs: &[f64]) -> String {
     format!("[{}]", items.join(", "))
 }
 
-#[test]
-fn bp_marginals_match_snapshot() {
+/// Loads a frozen linear-kernel snapshot for a tolerance comparison, or
+/// `None` under `PPDP_SKIP_LINEAR_GOLDEN=1` (loudly, as in
+/// [`check_golden`]).
+fn load_linear_golden(name: &str) -> Option<JsonValue> {
+    if std::env::var("PPDP_SKIP_LINEAR_GOLDEN").as_deref() == Ok("1") {
+        eprintln!(
+            "SKIPPED linear golden {name}: PPDP_SKIP_LINEAR_GOLDEN=1 \
+             (checked-in snapshot is from the real-rand environment; this \
+             build's RNG stream differs)"
+        );
+        return None;
+    }
+    let path = golden_path(name);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden snapshot {} ({e})", path.display()));
+    Some(JsonValue::parse(&text).unwrap_or_else(|e| panic!("corrupt golden {name}: {e}")))
+}
+
+/// Every number under `key`, flattened in document order.
+fn golden_floats(doc: &JsonValue, key: &str) -> Vec<f64> {
+    fn walk(v: &JsonValue, out: &mut Vec<f64>) {
+        match v {
+            JsonValue::Num(x) => out.push(*x),
+            JsonValue::Array(items) => items.iter().for_each(|i| walk(i, out)),
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(doc.get(key).expect("golden key"), &mut out);
+    out
+}
+
+/// Asserts `got` matches the frozen `want` within the 1e-9 bound the
+/// log kernel keeps against the linear fixed point.
+fn assert_golden_close(name: &str, key: &str, want: &[f64], got: &[f64]) {
+    assert_eq!(
+        want.len(),
+        got.len(),
+        "golden drift in {name}: {key} length"
+    );
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert!(
+            (w - g).abs() <= 1e-9,
+            "golden drift in {name}: {key}[{i}] = {g}, snapshot {w}"
+        );
+    }
+}
+
+/// The BP fixture shared by both BP snapshots.
+fn bp_fixture() -> FactorGraph {
     let catalog = ppdp::datagen::gwas::synthetic_catalog(40, 4, 1, 7);
     let evidence = Evidence::none()
         .with_snp(SnpId(0), Genotype::HomRisk)
         .with_snp(SnpId(5), Genotype::Het)
         .with_trait(TraitId(2), true);
-    let graph = FactorGraph::build(&catalog, &evidence).unwrap();
+    FactorGraph::build(&catalog, &evidence).unwrap()
+}
+
+/// The log kernel against the frozen linear snapshot: same sweep count
+/// and convergence flag, marginals within 1e-9.
+#[test]
+fn bp_marginals_match_snapshot() {
+    let graph = bp_fixture();
     for exec in POLICIES {
         let bp = BpConfig {
             exec,
             ..Default::default()
         }
         .run(&graph);
-        let traits: Vec<String> = bp
-            .trait_marginals
-            .iter()
-            .map(|m| json_floats(&m[..]))
-            .collect();
-        let snps: Vec<String> = bp
-            .snp_marginals
-            .iter()
-            .map(|m| json_floats(&m[..]))
-            .collect();
-        let rendered = format!(
-            "{{\n  \"iterations\": {},\n  \"converged\": {},\n  \"trait_marginals\": [\n    {}\n  ],\n  \"snp_marginals\": [\n    {}\n  ]\n}}\n",
-            bp.iterations,
-            bp.converged,
-            traits.join(",\n    "),
-            snps.join(",\n    ")
+        let Some(want) = load_linear_golden("bp_marginals.json") else {
+            return;
+        };
+        assert_eq!(
+            want.get("iterations").and_then(JsonValue::as_u64),
+            Some(bp.iterations as u64),
+            "golden drift in bp_marginals.json: iterations"
         );
-        check_golden("bp_marginals.json", &rendered);
+        assert_eq!(
+            want.get("converged").and_then(JsonValue::as_bool),
+            Some(bp.converged),
+            "golden drift in bp_marginals.json: converged"
+        );
+        let traits: Vec<f64> = bp.trait_marginals.iter().flatten().copied().collect();
+        let snps: Vec<f64> = bp.snp_marginals.iter().flatten().copied().collect();
+        for (key, got) in [("trait_marginals", traits), ("snp_marginals", snps)] {
+            assert_golden_close("bp_marginals.json", key, &golden_floats(&want, key), &got);
+        }
     }
 }
 
@@ -144,66 +208,59 @@ fn check_golden_bootstrap(name: &str, rendered: &str) {
     compare_golden(name, rendered);
 }
 
-/// Log-domain variant of [`bp_marginals_match_snapshot`]: the same
-/// fixture run with [`MessageDomain::Log`], pinned to its own
-/// bootstrapped snapshot (`bp_marginals_log.json`, gitignored — see
-/// [`check_golden_bootstrap`]; the sequential run mints it and the
-/// parallel run must reproduce it bitwise, as must every later run in
-/// the same checkout). The *linear* golden stays checked in untouched
-/// and doubles as a cross-domain oracle: this test also reruns the
-/// linear kernel and asserts the two domains agree to 1e-9, so a
-/// regression that moved both domains in lockstep would still be
-/// caught.
+/// Bitwise pin of [`bp_marginals_match_snapshot`]'s fixture: the log
+/// kernel's marginals against their own bootstrapped snapshot
+/// (`bp_marginals_log.json`, gitignored — see [`check_golden_bootstrap`];
+/// the sequential run mints it and the parallel run must reproduce it
+/// bitwise, as must every later run in the same checkout). The linear
+/// engine ([`IncrementalBp`], cold full refresh) doubles as a
+/// cross-domain oracle within 1e-9, so a regression that moved the
+/// bootstrap and the kernel in lockstep would still be caught.
 #[test]
 fn bp_marginals_log_match_snapshot() {
-    let catalog = ppdp::datagen::gwas::synthetic_catalog(40, 4, 1, 7);
-    let evidence = Evidence::none()
-        .with_snp(SnpId(0), Genotype::HomRisk)
-        .with_snp(SnpId(5), Genotype::Het)
-        .with_trait(TraitId(2), true);
-    let graph = FactorGraph::build(&catalog, &evidence).unwrap();
+    let graph = bp_fixture();
     for exec in POLICIES {
-        let bp = BpConfig {
-            exec,
-            domain: MessageDomain::Log,
-            ..Default::default()
-        }
-        .run(&graph);
-        let lin = BpConfig {
+        let cfg = BpConfig {
             exec,
             ..Default::default()
-        }
-        .run(&graph);
+        };
+        let bp = cfg.run(&graph);
+        let mut lin = IncrementalBp::new(graph.clone(), cfg);
+        lin.refresh();
         for (a, b) in bp
             .snp_marginals
             .iter()
             .flatten()
-            .zip(lin.snp_marginals.iter().flatten())
+            .zip(lin.snp_marginals().iter().flatten())
         {
             assert!(
                 (a - b).abs() <= 1e-9,
                 "log marginal {a} drifted from linear oracle {b}"
             );
         }
-        let traits: Vec<String> = bp
-            .trait_marginals
-            .iter()
-            .map(|m| json_floats(&m[..]))
-            .collect();
-        let snps: Vec<String> = bp
-            .snp_marginals
-            .iter()
-            .map(|m| json_floats(&m[..]))
-            .collect();
-        let rendered = format!(
-            "{{\n  \"iterations\": {},\n  \"converged\": {},\n  \"trait_marginals\": [\n    {}\n  ],\n  \"snp_marginals\": [\n    {}\n  ]\n}}\n",
-            bp.iterations,
-            bp.converged,
-            traits.join(",\n    "),
-            snps.join(",\n    ")
-        );
-        check_golden_bootstrap("bp_marginals_log.json", &rendered);
+        check_golden_bootstrap("bp_marginals_log.json", &render_bp(&bp));
     }
+}
+
+/// The canonical rendering of a BP snapshot.
+fn render_bp(bp: &BpResult) -> String {
+    let traits: Vec<String> = bp
+        .trait_marginals
+        .iter()
+        .map(|m| json_floats(&m[..]))
+        .collect();
+    let snps: Vec<String> = bp
+        .snp_marginals
+        .iter()
+        .map(|m| json_floats(&m[..]))
+        .collect();
+    format!(
+        "{{\n  \"iterations\": {},\n  \"converged\": {},\n  \"trait_marginals\": [\n    {}\n  ],\n  \"snp_marginals\": [\n    {}\n  ]\n}}\n",
+        bp.iterations,
+        bp.converged,
+        traits.join(",\n    "),
+        snps.join(",\n    ")
+    )
 }
 
 #[test]
@@ -233,23 +290,61 @@ fn ica_accuracy_matches_snapshot() {
     }
 }
 
-#[test]
-fn greedy_sanitization_picks_match_snapshot() {
+/// The greedy fixture shared by both greedy snapshots, run on the
+/// closure sanitizer with the default (log-domain) BP attacker.
+fn greedy_fixture(exec: ExecPolicy) -> ppdp::genomic::SanitizeOutcome {
     let catalog = ppdp::datagen::gwas::synthetic_catalog(60, 5, 2, 11);
     let panel = ppdp::datagen::genomes::amd_like(&catalog, TraitId(0), 10, 10, 11);
     let evidence = panel.full_evidence(0);
     let targets = [Target::Trait(TraitId(0)), Target::Trait(TraitId(1))];
+    greedy_sanitize_with(
+        exec,
+        &catalog,
+        &evidence,
+        &targets,
+        0.9999,
+        8,
+        Predictor::BeliefPropagation(BpConfig::default()),
+    )
+    .unwrap()
+}
+
+/// The log-kernel greedy against the frozen linear snapshot: the same
+/// picks and verdict exactly, the privacy history within 1e-9.
+#[test]
+fn greedy_sanitization_picks_match_snapshot() {
     for exec in POLICIES {
-        let out = greedy_sanitize_with(
-            exec,
-            &catalog,
-            &evidence,
-            &targets,
-            0.9999,
-            8,
-            Predictor::BeliefPropagation(BpConfig::default()),
-        )
-        .unwrap();
+        let out = greedy_fixture(exec);
+        let Some(want) = load_linear_golden("greedy_picks.json") else {
+            return;
+        };
+        let removed: Vec<f64> = out.removed.iter().map(|s| s.0 as f64).collect();
+        assert_eq!(
+            golden_floats(&want, "removed"),
+            removed,
+            "golden drift in greedy_picks.json: removed"
+        );
+        assert_eq!(
+            want.get("satisfied").and_then(JsonValue::as_bool),
+            Some(out.satisfied),
+            "golden drift in greedy_picks.json: satisfied"
+        );
+        assert_golden_close(
+            "greedy_picks.json",
+            "privacy_history",
+            &golden_floats(&want, "privacy_history"),
+            &out.history,
+        );
+    }
+}
+
+/// Bitwise pin of the log-kernel greedy run, against its bootstrapped
+/// snapshot (`greedy_picks_log.json`, gitignored like
+/// `bp_marginals_log.json`).
+#[test]
+fn greedy_sanitization_picks_log_match_snapshot() {
+    for exec in POLICIES {
+        let out = greedy_fixture(exec);
         let removed: Vec<String> = out.removed.iter().map(|s| s.0.to_string()).collect();
         let rendered = format!(
             "{{\n  \"removed\": [{}],\n  \"satisfied\": {},\n  \"privacy_history\": {}\n}}\n",
@@ -257,7 +352,7 @@ fn greedy_sanitization_picks_match_snapshot() {
             out.satisfied,
             json_floats(&out.history)
         );
-        check_golden("greedy_picks.json", &rendered);
+        check_golden_bootstrap("greedy_picks_log.json", &rendered);
     }
 }
 

@@ -1,40 +1,66 @@
-//! Differential kernel-test suite: the log-domain BP kernel
-//! ([`ppdp::genomic::MessageDomain::Log`]) against the historical linear
-//! kernel, on the golden fixtures and on adversarial numeric structure.
+//! Differential kernel-test suite: the log-domain BP kernel behind
+//! [`ppdp::genomic::BpConfig::run`] against two oracles, on the golden
+//! fixtures and on adversarial numeric structure:
+//!
+//! * the linear engine [`ppdp::genomic::IncrementalBp`] after a cold full
+//!   refresh — the same fixed point, iterated in probability space;
+//! * [`ppdp::genomic::exhaustive_marginals`] on forests — the exact
+//!   answer;
+//!
+//! and against its own scalar reference kernel
+//! ([`ppdp::genomic::BpConfig::run_reference`]).
 //!
 //! The contract under test (DESIGN.md, "numerical model"):
 //!
-//! * both domains iterate the *same* fixed point — marginals agree to
-//!   ≤ 1e-9 on every golden fixture when run to a tight tolerance;
-//! * the greedy sanitizer makes identical picks under either domain;
-//! * the log kernel is policy-bitwise, exactly like the linear one;
+//! * the log kernel and the linear engine reach the same fixed point —
+//!   marginals agree to ≤ 1e-9 on every golden fixture when run to a
+//!   tight tolerance — and the log kernel is exact on forests;
+//! * the greedy sanitizer makes identical picks on either;
+//! * the log kernel is policy- and tile-bitwise, and within 1e-12 of its
+//!   scalar reference;
 //! * crash-safe resume (`publish_resumable`) stays bitwise identical
-//!   with warm thread-local arenas, and refuses a log-domain config
-//!   instead of quietly linearizing it;
-//! * structure that underflows the linear kernel to prior-fallback
-//!   (hub traits of degree ≳ 1000, vanishing factor tables) leaves the
-//!   log kernel finite, normalized, and degradation-free.
+//!   with warm thread-local arenas;
+//! * structure that underflows linear messages (hub traits of degree
+//!   ≳ 1100, vanishing factor tables) sends the linear engine unclean,
+//!   leaves the log kernel finite, normalized and degradation-free, and
+//!   moves `GenomePublisher::publish` onto the log kernel;
+//! * the log kernel's arenas stay within their per-factor byte budget.
 
 use ppdp::datagen;
 use ppdp::exec::ExecPolicy;
 use ppdp::genomic::kinship::transmission_table;
 use ppdp::genomic::sanitize::{Predictor, Target};
 use ppdp::genomic::{
-    greedy_sanitize_with, BpConfig, BpResult, Evidence, FactorGraph, Genotype, GwasCatalog,
-    KernelVariant, MessageDomain, SnpId, TraitId,
+    exhaustive_marginals, greedy_sanitize_incremental, greedy_sanitize_with, BpConfig, BpResult,
+    Evidence, FactorGraph, Genotype, GwasCatalog, IncrementalBp, SnpId, TraitId,
 };
 use ppdp::publish::GenomePublisher;
 use ppdp::telemetry::Recorder;
 use proptest::prelude::*;
 
-/// Tight-tolerance config in the given domain; the 1e-9 cross-domain
-/// agreement bound only holds when both runs converge well below it.
-fn tight(domain: MessageDomain) -> BpConfig {
+/// Tight-tolerance config; the 1e-9 cross-domain agreement bound only
+/// holds when both engines converge well below it.
+fn tight() -> BpConfig {
     BpConfig {
         tol: 1e-12,
         max_iters: 400,
-        domain,
         ..Default::default()
+    }
+}
+
+/// The linear oracle: the incremental engine after a cold full refresh,
+/// read out as a [`BpResult`] (`degraded` reports an unclean engine).
+fn linear(g: &FactorGraph, cfg: BpConfig) -> BpResult {
+    let mut engine = IncrementalBp::new(g.clone(), cfg);
+    let out = engine.refresh();
+    BpResult {
+        snp_marginals: engine.snp_marginals(),
+        trait_marginals: engine.trait_marginals(),
+        iterations: out.updates as usize,
+        converged: out.converged,
+        final_residual: 0.0,
+        restarts: 0,
+        degraded: !out.clean,
     }
 }
 
@@ -80,7 +106,7 @@ fn bp_golden_fixture() -> FactorGraph {
 }
 
 /// Star catalog: one trait observed by `degree` SNP associations. The
-/// trait-side cavity in the linear kernel is a product of `degree − 1`
+/// trait-side cavity in linear space is a product of `degree − 1`
 /// sub-unit message components, which hits exact 0.0 once the degree
 /// passes ≈ 1100 (2⁻¹⁰⁷⁴ is the smallest subnormal).
 fn hub_catalog(degree: usize) -> GwasCatalog {
@@ -101,16 +127,9 @@ fn hub_catalog(degree: usize) -> GwasCatalog {
 fn log_and_linear_marginals_agree_on_golden_fixture() {
     let g = bp_golden_fixture();
     for exec in [ExecPolicy::Sequential, ExecPolicy::parallel(4)] {
-        let lin = BpConfig {
-            exec,
-            ..tight(MessageDomain::Linear)
-        }
-        .run(&g);
-        let log = BpConfig {
-            exec,
-            ..tight(MessageDomain::Log)
-        }
-        .run(&g);
+        let cfg = BpConfig { exec, ..tight() };
+        let lin = linear(&g, cfg);
+        let log = cfg.run(&g);
         assert!(lin.converged && log.converged);
         assert!(!lin.degraded && !log.degraded);
         assert_normalized(&log);
@@ -119,15 +138,47 @@ fn log_and_linear_marginals_agree_on_golden_fixture() {
     }
 }
 
+/// The exact oracle: on forests BP marginals are exact, so the log
+/// kernel must reproduce joint enumeration — with and without evidence,
+/// across the shared-SNP star whose width walks the lane remainders.
+#[test]
+fn log_kernel_matches_exhaustive_on_forests() {
+    let fig = ppdp::genomic::factor_graph::figure_5_1_catalog();
+    let mut cases = vec![
+        (fig.clone(), Evidence::none()),
+        (
+            fig,
+            Evidence::none()
+                .with_snp(SnpId(1), Genotype::HomRisk)
+                .with_trait(TraitId(2), true),
+        ),
+    ];
+    for k in 1..=5 {
+        cases.push((
+            shared_snp_catalog(k),
+            Evidence::none().with_snp(SnpId(1), Genotype::Het),
+        ));
+    }
+    for (cat, ev) in &cases {
+        let g = FactorGraph::build(cat, ev).unwrap();
+        assert!(g.is_forest());
+        let exact = exhaustive_marginals(&g);
+        let log = tight().run(&g);
+        assert!(log.converged && !log.degraded);
+        let gap = marginal_gap(&exact, &log);
+        assert!(gap <= 1e-9, "log kernel {gap} away from exhaustive");
+    }
+}
+
 #[test]
 fn log_domain_is_policy_bitwise_on_golden_fixture() {
     let g = bp_golden_fixture();
-    let seq = tight(MessageDomain::Log).run(&g);
+    let seq = tight().run(&g);
     assert!(!seq.degraded);
     for threads in [1, 2, 8] {
         let par = BpConfig {
             exec: ExecPolicy::parallel(threads),
-            ..tight(MessageDomain::Log)
+            ..tight()
         }
         .run(&g);
         assert_eq!(seq.iterations, par.iterations);
@@ -144,26 +195,35 @@ fn log_domain_is_policy_bitwise_on_golden_fixture() {
     }
 }
 
+/// The closure sanitizer on the log kernel and the incremental sanitizer
+/// on the linear engine make the same picks with the same privacy
+/// history.
 #[test]
 fn greedy_sanitizer_picks_are_identical_across_domains() {
     let catalog = datagen::gwas::synthetic_catalog(60, 5, 2, 11);
     let panel = datagen::genomes::amd_like(&catalog, TraitId(0), 10, 10, 11);
     let evidence = panel.full_evidence(0);
     let targets = [Target::Trait(TraitId(0)), Target::Trait(TraitId(1))];
-    let run = |domain| {
-        greedy_sanitize_with(
-            ExecPolicy::Sequential,
-            &catalog,
-            &evidence,
-            &targets,
-            0.9999,
-            8,
-            Predictor::BeliefPropagation(tight(domain)),
-        )
-        .unwrap()
-    };
-    let lin = run(MessageDomain::Linear);
-    let log = run(MessageDomain::Log);
+    let log = greedy_sanitize_with(
+        ExecPolicy::Sequential,
+        &catalog,
+        &evidence,
+        &targets,
+        0.9999,
+        8,
+        Predictor::BeliefPropagation(tight()),
+    )
+    .unwrap();
+    let lin = greedy_sanitize_incremental(
+        ExecPolicy::Sequential,
+        &catalog,
+        &evidence,
+        &targets,
+        0.9999,
+        8,
+        tight(),
+    )
+    .unwrap();
     assert_eq!(lin.removed, log.removed, "greedy picks diverged by domain");
     assert_eq!(lin.satisfied, log.satisfied);
     assert_eq!(lin.history.len(), log.history.len());
@@ -175,63 +235,11 @@ fn greedy_sanitizer_picks_are_identical_across_domains() {
     }
 }
 
-#[test]
-fn resumable_publish_stays_bitwise_with_warm_arenas_and_refuses_log_config() {
-    let catalog = datagen::gwas::synthetic_catalog(30, 3, 1, 5);
-    let panel = datagen::genomes::amd_like(&catalog, TraitId(0), 8, 8, 5);
-    let evidence = panel.full_evidence(0);
-    let targets = [Target::Trait(TraitId(0))];
-    let publisher = |domain| {
-        GenomePublisher::new(&catalog, 0.9999)
-            .max_removals(6)
-            .bp_config(BpConfig {
-                domain,
-                ..Default::default()
-            })
-    };
-
-    // Warm the thread-local message arenas so every run below reuses them.
-    let warm = publisher(MessageDomain::Log)
-        .publish(&evidence, &targets)
-        .unwrap();
-
-    let dir = tempdir("kernels-resume");
-    let store = ppdp::durable::CheckpointStore::open(&dir).unwrap();
-    let first = publisher(MessageDomain::Linear)
-        .publish_resumable(&evidence, &targets, &store, "lin")
-        .unwrap();
-    // A rerun over the completed journal is a pure replay.
-    let replayed = publisher(MessageDomain::Linear)
-        .publish_resumable(&evidence, &targets, &store, "lin")
-        .unwrap();
-    // The incremental engine's arenas are linear-only, so a journaled
-    // log-domain publish is refused instead of answering a linear model.
-    let err = publisher(MessageDomain::Log)
-        .publish_resumable(&evidence, &targets, &store, "log")
-        .unwrap_err();
-    assert_eq!(err.kind(), "invalid_input");
-    std::fs::remove_dir_all(&dir).ok();
-    let plain = publisher(MessageDomain::Linear)
-        .publish(&evidence, &targets)
-        .unwrap();
-
-    for other in [&replayed, &plain] {
-        assert_eq!(first.outcome.removed, other.outcome.removed);
-        assert_eq!(first.outcome.satisfied, other.outcome.satisfied);
-        assert_eq!(first.outcome.history.len(), other.outcome.history.len());
-        for (a, b) in first.outcome.history.iter().zip(&other.outcome.history) {
-            assert_eq!(a.to_bits(), b.to_bits(), "resume not bitwise");
-        }
-    }
-    // The log-domain publisher makes the same picks.
-    assert_eq!(warm.outcome.removed, first.outcome.removed);
-}
-
-/// The incremental engine behind `publish` is linear-only, and a
-/// degree-1200 hub collapses linear marginals. A log-domain `publish`
-/// therefore runs the full log-kernel sanitizer: its outcome is that of
-/// `greedy_sanitize_with` under the same configuration, bit for bit, and
-/// it reports no degradation.
+/// The incremental engine behind `publish` keeps linear messages, and a
+/// degree-1200 hub underflows them. A default `publish` therefore runs
+/// the log-kernel sanitizer: its outcome is that of `greedy_sanitize_with`
+/// under the same configuration, bit for bit, and it reports no
+/// degradation.
 #[test]
 fn log_publish_on_a_hub_stays_on_the_log_kernel() {
     let catalog = hub_catalog(1200);
@@ -240,13 +248,13 @@ fn log_publish_on_a_hub_stays_on_the_log_kernel() {
         evidence = evidence.with_snp(SnpId(s * 100), Genotype::HomRisk);
     }
     let targets = [Target::Trait(TraitId(0))];
-    let cfg = BpConfig {
-        domain: MessageDomain::Log,
-        ..Default::default()
-    };
+    let g = FactorGraph::build(&catalog, &evidence).unwrap();
+    assert!(
+        linear(&g, BpConfig::default()).degraded,
+        "the linear engine should not represent a degree-1200 hub"
+    );
     let report = GenomePublisher::new(&catalog, 0.9999)
         .max_removals(3)
-        .bp_config(cfg)
         .publish(&evidence, &targets)
         .unwrap();
     let reference = greedy_sanitize_with(
@@ -256,11 +264,11 @@ fn log_publish_on_a_hub_stays_on_the_log_kernel() {
         &targets,
         0.9999,
         3,
-        Predictor::BeliefPropagation(cfg),
+        Predictor::BeliefPropagation(BpConfig::default()),
     )
     .unwrap();
     let out = &report.outcome;
-    assert!(!out.predictor_degraded, "log publish degraded on a hub");
+    assert!(!out.predictor_degraded, "publish degraded on a hub");
     assert_eq!(report.telemetry.degradations(), 0);
     assert_eq!(out.removed, reference.removed);
     assert_eq!(out.satisfied, reference.satisfied);
@@ -273,81 +281,52 @@ fn log_publish_on_a_hub_stays_on_the_log_kernel() {
     );
 }
 
-/// Satellite regression: a hub trait of degree 1500 underflows the
-/// linear trait-side cavity (a product of 1499 sub-unit components).
-/// The failure has two faces, both pinned here:
-///
-/// * undamped (restart ladder disabled) the product hits exact 0.0,
-///   every message is repaired, and the run degrades to prior-fallback
-///   marginals — *detected* corruption;
-/// * under the default ladder the damped retry approaches the fixed
-///   point from unnormalized starts, so the cavity saturates at the
-///   smallest subnormal (5e-324) instead of reaching zero. `z > 0`
-///   normalizes the saturated value to exactly `[0.5, 0.5]`: the run
-///   reports converged-and-clean with *silently wrong* marginals —
-///   *undetected* corruption, the worse face.
-///
-/// The log kernel never leaves the representable range and reproduces
-/// the healthy-degree answer with a `degraded.*`-free RunReport.
+/// The log-kernel fallback of a hub publish has no pick journal, so a
+/// checkpointed publish refuses the graph instead of answering from
+/// repaired linear messages.
+#[test]
+fn resumable_publish_refuses_a_hub_the_linear_engine_cannot_represent() {
+    let catalog = hub_catalog(1200);
+    let evidence = Evidence::none().with_snp(SnpId(0), Genotype::HomRisk);
+    let dir = tempdir("kernels-hub-resume");
+    let store = ppdp::durable::CheckpointStore::open(&dir).unwrap();
+    let err = GenomePublisher::new(&catalog, 0.9999)
+        .max_removals(2)
+        .publish_resumable(&evidence, &[Target::Trait(TraitId(0))], &store, "hub")
+        .unwrap_err();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(err.kind(), "invalid_input");
+}
+
+/// Regression: a hub trait of degree 1500 underflows the linear
+/// trait-side cavity (a product of 1499 sub-unit components). The linear
+/// engine detects it — every message through the hub is repaired and
+/// the engine reports unclean — while the log kernel never leaves the
+/// representable range and reproduces the healthy-degree answer with a
+/// `degraded.*`-free RunReport.
 #[test]
 fn hub_trait_underflows_linear_but_not_log() {
     let ev = Evidence::none().with_snp(SnpId(0), Genotype::HomRisk);
     let g = FactorGraph::build(&hub_catalog(1500), &ev).unwrap();
-    // Oracle: at degree 400 the linear kernel is still healthy, and the
+    // Oracle: at degree 400 the linear engine is still healthy, and the
     // per-factor trait pull of an unobserved flat SNP is uniform, so the
     // true trait marginal is degree-invariant.
     let small = FactorGraph::build(&hub_catalog(400), &ev).unwrap();
-    let oracle = BpConfig::default().run(&small);
+    let oracle = linear(&small, BpConfig::default());
     assert!(!oracle.degraded && oracle.converged);
 
-    // Face 1: single undamped attempt → exact underflow → detected.
-    let undamped_rec = Recorder::new();
-    let undamped = {
-        let _scope = undamped_rec.enter();
-        BpConfig {
-            max_restarts: 0,
-            ..Default::default()
-        }
-        .run(&g)
-    };
-    let undamped_report = undamped_rec.take();
-    assert!(undamped.degraded, "undamped linear survived a 1500-hub");
-    assert!(undamped_report.counter("degraded.bp.prior_fallback") >= 1);
-    assert!(undamped_report.counter("bp.renormalized") >= 1500);
-
-    // Face 2: default ladder → subnormal saturation → silent collapse.
     let lin_rec = Recorder::new();
     let lin = {
         let _scope = lin_rec.enter();
-        BpConfig::default().run(&g)
+        linear(&g, BpConfig::default())
     };
-    let lin_report = lin_rec.take();
-    assert!(
-        !lin.degraded && lin.converged,
-        "expected the damped retry to accept silently"
-    );
-    assert!(lin_report.counter("bp.renormalized") >= 1500);
-    let collapsed = lin.trait_marginals[0];
-    assert_eq!(
-        (collapsed[0].to_bits(), collapsed[1].to_bits()),
-        (0.5f64.to_bits(), 0.5f64.to_bits()),
-        "saturated linear marginal should collapse to exactly uniform"
-    );
-    assert!(
-        (collapsed[0] - oracle.trait_marginals[0][0]).abs() > 0.1,
-        "collapse should be far from the true marginal"
-    );
+    assert!(lin.degraded, "the linear engine survived a 1500-hub");
+    assert!(lin_rec.take().counter("bp.renormalized") >= 1500);
 
-    // Log domain: finite, normalized, degradation-free, and on the
-    // healthy-degree answer.
     let log_rec = Recorder::new();
     let log = {
         let _scope = log_rec.enter();
-        BpConfig {
-            domain: MessageDomain::Log,
-            ..Default::default()
-        }
-        .run(&g)
+        BpConfig::default().run(&g)
     };
     let log_report = log_rec.take();
     assert!(!log.degraded, "log kernel degraded on a degree-1500 hub");
@@ -367,16 +346,15 @@ fn hub_trait_underflows_linear_but_not_log() {
 }
 
 /// A 10⁴-deep Mendelian chain propagates evidence end to end in both
-/// domains: per-hop normalization keeps the linear kernel finite on
-/// chains (only hubs underflow it), so the two must agree.
+/// domains: per-hop normalization keeps linear messages finite on chains
+/// (only hubs underflow them), so the two must agree.
 #[test]
 fn deep_kin_chain_stays_finite_in_both_domains() {
     const DEPTH: usize = 10_000;
     // One trait per SNP: the factor graph only materializes SNPs that
     // appear in an association, and a per-SNP trait keeps every variable
     // at association-degree 1 (no hub — the chain is the structure under
-    // test, and per-hop normalization keeps the linear kernel finite on
-    // pure chains).
+    // test).
     let mut cat = GwasCatalog::new(DEPTH);
     for i in 0..DEPTH {
         let t = cat.add_trait(format!("t{i}"), 0.2);
@@ -388,12 +366,8 @@ fn deep_kin_chain_stays_finite_in_both_domains() {
     g.add_kin_factors((0..DEPTH - 1).map(|i| (i, i + 1, table)))
         .unwrap();
 
-    let lin = BpConfig::default().run(&g);
-    let log = BpConfig {
-        domain: MessageDomain::Log,
-        ..Default::default()
-    }
-    .run(&g);
+    let lin = linear(&g, BpConfig::default());
+    let log = BpConfig::default().run(&g);
     assert!(!lin.degraded && !log.degraded);
     assert_normalized(&lin);
     assert_normalized(&log);
@@ -435,40 +409,11 @@ fn shared_snp_catalog(k: usize) -> GwasCatalog {
 }
 
 #[test]
-fn blocked_linear_kernel_is_bitwise_scalar_across_tiles_and_policies() {
-    // The linear blocked kernel re-schedules the same per-message
-    // arithmetic into pre-sized arenas; tile size and thread count are
-    // pure scheduling and must never reach the bits.
-    let g = bp_golden_fixture();
-    let scalar = BpConfig {
-        variant: KernelVariant::Scalar,
-        ..tight(MessageDomain::Linear)
-    }
-    .run(&g);
-    for tile in [1usize, 3, 64, 4096] {
-        for threads in [1, 4] {
-            let blocked = BpConfig {
-                variant: KernelVariant::Blocked,
-                tile: Some(tile),
-                exec: ExecPolicy::parallel(threads),
-                ..tight(MessageDomain::Linear)
-            }
-            .run(&g);
-            assert_bitwise(
-                &scalar,
-                &blocked,
-                &format!("linear tile {tile} × {threads} threads"),
-            );
-        }
-    }
-}
-
-#[test]
 fn blocked_log_kernel_is_tile_and_policy_invariant_and_near_scalar() {
-    // The log blocked kernel's quad-lane gathers reassociate the
-    // accumulation (≤ 1e-12 vs scalar, not bitwise) — but for a fixed
-    // variant the result must be bitwise across tile sizes and policies,
-    // including on the degree-1500 hub that underflows the linear kernel.
+    // The blocked kernel's quad-lane gathers reassociate the accumulation
+    // (≤ 1e-12 vs the scalar reference, not bitwise) — but its result
+    // must be bitwise across tile sizes and policies, including on the
+    // degree-1500 hub that underflows linear messages.
     for g in [
         bp_golden_fixture(),
         FactorGraph::build(
@@ -477,16 +422,8 @@ fn blocked_log_kernel_is_tile_and_policy_invariant_and_near_scalar() {
         )
         .unwrap(),
     ] {
-        let scalar = BpConfig {
-            variant: KernelVariant::Scalar,
-            ..tight(MessageDomain::Log)
-        }
-        .run(&g);
-        let reference = BpConfig {
-            variant: KernelVariant::Blocked,
-            ..tight(MessageDomain::Log)
-        }
-        .run(&g);
+        let scalar = tight().run_reference(&g);
+        let reference = tight().run(&g);
         assert!(!reference.degraded);
         assert_normalized(&reference);
         let gap = marginal_gap(&scalar, &reference);
@@ -494,10 +431,9 @@ fn blocked_log_kernel_is_tile_and_policy_invariant_and_near_scalar() {
         for tile in [1usize, 7, 512, 4096] {
             for threads in [1, 2, 8] {
                 let blocked = BpConfig {
-                    variant: KernelVariant::Blocked,
                     tile: Some(tile),
                     exec: ExecPolicy::parallel(threads),
-                    ..tight(MessageDomain::Log)
+                    ..tight()
                 }
                 .run(&g);
                 assert_bitwise(
@@ -512,49 +448,77 @@ fn blocked_log_kernel_is_tile_and_policy_invariant_and_near_scalar() {
 
 #[test]
 fn blocked_resumable_publish_stays_bitwise_with_warm_arenas() {
-    // Mirror of the log-domain resume test under the blocked kernel with
-    // a deliberately odd tile: journaled runs, replays and the scalar
-    // variant must all make identical picks (linear-domain trial
-    // rollback, where blocked is bitwise).
+    // Journaled runs with a deliberately odd tile, their replays and a
+    // plain publish must all make identical picks: the incremental
+    // engine's trial rollback is exact, and warm thread-local BP arenas
+    // re-initialize value-identically.
     let catalog = datagen::gwas::synthetic_catalog(30, 3, 1, 5);
     let panel = datagen::genomes::amd_like(&catalog, TraitId(0), 8, 8, 5);
     let evidence = panel.full_evidence(0);
     let targets = [Target::Trait(TraitId(0))];
-    let publisher = |variant, tile| {
+    let publisher = |tile| {
         GenomePublisher::new(&catalog, 0.9999)
             .max_removals(6)
             .bp_config(BpConfig {
-                variant,
                 tile,
                 ..Default::default()
             })
     };
 
-    // Warm the thread-local arenas (blocked layout) before resuming.
-    let warm = publisher(KernelVariant::Blocked, Some(5))
-        .publish(&evidence, &targets)
-        .unwrap();
+    // Warm the thread-local arenas before resuming.
+    let warm = publisher(Some(5)).publish(&evidence, &targets).unwrap();
 
     let dir = tempdir("kernels-blocked-resume");
     let store = ppdp::durable::CheckpointStore::open(&dir).unwrap();
-    let first = publisher(KernelVariant::Blocked, Some(5))
+    let first = publisher(Some(5))
         .publish_resumable(&evidence, &targets, &store, "blocked")
         .unwrap();
-    let replayed = publisher(KernelVariant::Blocked, Some(5))
+    // A rerun over the completed journal is a pure replay.
+    let replayed = publisher(Some(5))
         .publish_resumable(&evidence, &targets, &store, "blocked")
         .unwrap();
-    let scalar = publisher(KernelVariant::Scalar, None)
-        .publish(&evidence, &targets)
-        .unwrap();
+    let plain = publisher(None).publish(&evidence, &targets).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(warm.outcome.removed, first.outcome.removed);
-    assert_eq!(scalar.outcome.removed, first.outcome.removed);
-    assert_eq!(first.outcome.removed, replayed.outcome.removed);
-    assert_eq!(first.outcome.history.len(), replayed.outcome.history.len());
-    for (a, b) in first.outcome.history.iter().zip(&replayed.outcome.history) {
-        assert_eq!(a.to_bits(), b.to_bits(), "blocked resume not bitwise");
+    for other in [&replayed, &plain] {
+        assert_eq!(first.outcome.removed, other.outcome.removed);
+        assert_eq!(first.outcome.satisfied, other.outcome.satisfied);
+        assert_eq!(first.outcome.history.len(), other.outcome.history.len());
+        for (a, b) in first.outcome.history.iter().zip(&other.outcome.history) {
+            assert_eq!(a.to_bits(), b.to_bits(), "resume not bitwise");
+        }
     }
+}
+
+/// The in-place plane layout costs 112 B per association factor plus
+/// 32 B per SNP; the budget leaves headroom for trait rows and allocator
+/// rounding. A layout regression (a second buffer, a per-run table copy)
+/// fails here instead of in the benchmark's peak-RSS bound.
+#[test]
+fn log_arenas_fit_the_per_factor_budget() {
+    let catalog = datagen::gwas::scaled_catalog(18_000, 1_000, 2, 1);
+    let g = FactorGraph::build(&catalog, &Evidence::none()).unwrap();
+    let cfg = BpConfig::default();
+    // A fresh thread owns a cold scratch: the first run grows the
+    // arenas, the second runs warm on them.
+    let (bytes, factors, snps) = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                cfg.run(&g);
+                let warm = cfg.run(&g);
+                assert!(warm.converged && !warm.degraded);
+                let bytes = ppdp::genomic::kernels::with_scratch(|s| s.arena_bytes());
+                (bytes, g.factors.len(), g.n_snps())
+            })
+            .join()
+            .unwrap()
+    });
+    let budget = 160 * factors + 40 * snps;
+    assert!(
+        bytes <= budget,
+        "log arenas hold {bytes} B for {factors} factors and {snps} SNPs (budget {budget} B)"
+    );
 }
 
 /// Fresh per-test checkpoint directory under the target tmpdir.
@@ -572,9 +536,8 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Hub degrees across the underflow frontier: the linear cavity
-    /// always corrupts (renormalization repairs fire and the trait
-    /// marginal collapses to exactly uniform), the log kernel is always
+    /// Hub degrees across the underflow frontier: the linear engine
+    /// always needs repairs and goes unclean, the log kernel is always
     /// repair-free and finite.
     #[test]
     fn hub_degree_sweep_underflows_linear_only(degree in 1200usize..1600) {
@@ -582,21 +545,15 @@ proptest! {
         let ev = Evidence::none().with_snp(SnpId(0), Genotype::Het);
         let g = FactorGraph::build(&cat, &ev).unwrap();
         let lin_rec = Recorder::new();
-        let lin = { let _s = lin_rec.enter(); BpConfig::default().run(&g) };
+        let lin = { let _s = lin_rec.enter(); linear(&g, BpConfig::default()) };
         let lin_report = lin_rec.take();
         prop_assert!(
             lin_report.counter("bp.renormalized") >= degree as u64,
             "linear cavity survived hub degree {degree}"
         );
-        prop_assert!(
-            lin.degraded || lin.trait_marginals[0] == [0.5, 0.5],
-            "linear neither degraded nor collapsed at degree {degree}"
-        );
+        prop_assert!(lin.degraded, "linear engine stayed clean at degree {degree}");
         let log_rec = Recorder::new();
-        let log = {
-            let _s = log_rec.enter();
-            BpConfig { domain: MessageDomain::Log, ..Default::default() }.run(&g)
-        };
+        let log = { let _s = log_rec.enter(); BpConfig::default().run(&g) };
         let log_report = log_rec.take();
         prop_assert!(!log.degraded, "log degraded at hub degree {degree}");
         prop_assert_eq!(log_report.counter("bp.renormalized"), 0);
@@ -641,7 +598,7 @@ proptest! {
             }
         }
         g.add_kin_factors((0..5).map(|i| (i, i + 1, tiny))).unwrap();
-        let log = BpConfig { domain: MessageDomain::Log, ..Default::default() }.run(&g);
+        let log = BpConfig::default().run(&g);
         prop_assert!(!log.degraded, "log degraded at table scale {scale:e}");
         for m in log.snp_marginals.iter() {
             prop_assert!(m.iter().all(|x| x.is_finite()));
@@ -656,7 +613,7 @@ proptest! {
     }
 
     /// Random extreme evidence loads on the golden catalog: whenever both
-    /// kernels converge cleanly, they agree to 1e-9.
+    /// engines converge cleanly, they agree to 1e-9.
     #[test]
     fn extreme_evidence_keeps_domains_in_agreement(
         snp_mask in prop::collection::vec(0u8..3, 8),
@@ -673,8 +630,8 @@ proptest! {
             ev = ev.with_snp(SnpId(i * 5), g);
         }
         let g = FactorGraph::build(&catalog, &ev).unwrap();
-        let lin = tight(MessageDomain::Linear).run(&g);
-        let log = tight(MessageDomain::Log).run(&g);
+        let lin = linear(&g, tight());
+        let log = tight().run(&g);
         if lin.converged && log.converged && !lin.degraded && !log.degraded {
             let gap = marginal_gap(&lin, &log);
             prop_assert!(gap <= 1e-9, "marginal gap {gap} under extreme evidence");
@@ -687,45 +644,22 @@ proptest! {
 
     /// Lane-remainder sweep: the shared-SNP hub's neighbour list length
     /// `k` walks `k mod 4` through every remainder, exercising the quad
-    /// gather's tail path. The log blocked kernel must track scalar to
-    /// 1e-12 and the linear blocked kernel must stay bitwise at every
-    /// remainder.
+    /// gather's tail path. The blocked kernel must track the scalar
+    /// reference to 1e-12 at every remainder and tile size.
     #[test]
     fn blocked_kernels_track_scalar_across_lane_remainders(k in 1usize..18, tile in 1usize..9) {
         let cat = shared_snp_catalog(k);
         let ev = Evidence::none().with_snp(SnpId(0), Genotype::Het);
         let g = FactorGraph::build(&cat, &ev).unwrap();
 
-        let log_scalar = BpConfig {
-            variant: KernelVariant::Scalar,
-            ..tight(MessageDomain::Log)
-        }
-        .run(&g);
-        let log_blocked = BpConfig {
-            variant: KernelVariant::Blocked,
+        let scalar = tight().run_reference(&g);
+        let blocked = BpConfig {
             tile: Some(tile),
-            ..tight(MessageDomain::Log)
+            ..tight()
         }
         .run(&g);
-        assert_normalized(&log_blocked);
-        let gap = marginal_gap(&log_scalar, &log_blocked);
+        assert_normalized(&blocked);
+        let gap = marginal_gap(&scalar, &blocked);
         prop_assert!(gap <= 1e-12, "k={k} tile={tile}: log gap {gap} > 1e-12");
-
-        let lin_scalar = BpConfig {
-            variant: KernelVariant::Scalar,
-            ..tight(MessageDomain::Linear)
-        }
-        .run(&g);
-        let lin_blocked = BpConfig {
-            variant: KernelVariant::Blocked,
-            tile: Some(tile),
-            ..tight(MessageDomain::Linear)
-        }
-        .run(&g);
-        assert_bitwise(
-            &lin_scalar,
-            &lin_blocked,
-            &format!("lane remainder k={k} tile={tile}"),
-        );
     }
 }
